@@ -2,10 +2,10 @@
 
 Library layout:
 
-- `sixstate.linalg` — small dense linear-algebra helpers (tensor
-  products, partial traces, isometry checks).
-- `sixstate.protocol` — six-state signal states with source noise and
-  error-rate bookkeeping.
+- `sixstate.linalg` — small dense linear-algebra helpers (adjoints,
+  partial traces, isometry checks).
+- `sixstate.protocol` — six-state signal states with source noise,
+  error-rate bookkeeping and the `(p, q)` domain check.
 - `sixstate.attack` — the constrained probe family, its isometry, and
   Eve's outcome distribution (closed form and simulated).
 - `sixstate.info` — the information quantities and their closed-form
@@ -45,7 +45,6 @@ from .exceptions import (
     DomainError,
     InfeasibleError,
     NoCrossingError,
-    ValidationError,
 )
 from .info import (
     beta_sq_optimal,
@@ -86,7 +85,6 @@ __all__ = [
     "DomainError",
     "InfeasibleError",
     "NoCrossingError",
-    "ValidationError",
     "antiphase_parameters",
     "beta_sq_optimal",
     "build_ancillas",

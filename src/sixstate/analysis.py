@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from .exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
-from .info import beta_sq_optimal, check_domain, i_ab, i_ae_antiphase, i_ae_optimal
+from .info import _i_ab, _i_ae_antiphase, _i_ae_optimal, _root
+from .protocol import check_domain
 
 __all__ = [
     "PURE_CROSSING_D",
@@ -89,25 +90,22 @@ def curve_sweep(p, steps=200):
     if steps < 2:
         raise DomainError(f"steps={steps} must be at least 2")
     qs = np.linspace(p / 2.0, 0.5, steps)
-    out = []
-    for q in qs:
-        q = float(q)
-        out.append(
-            CurvePoint(
-                q=q,
-                i_ab=i_ab(q),
-                i_ae_opt=i_ae_optimal(p, q),
-                i_ae_alt=i_ae_antiphase(p, q),
-                i_ab_pure=i_ab(q),
-                i_ae_pure=i_ae_optimal(0.0, q),
-                beta_sq=beta_sq_optimal(p, q, "plus"),
-            )
-        )
-    return out
+    i_ab = _i_ab(qs).tolist()
+    columns = zip(
+        qs.tolist(),
+        i_ab,
+        _i_ae_optimal(p, qs).tolist(),
+        _i_ae_antiphase(p, qs).tolist(),
+        i_ab,
+        _i_ae_optimal(0.0, qs).tolist(),
+        ((1.0 + _root(p, qs)) / 2.0).tolist(),
+    )
+    return [CurvePoint(*row) for row in columns]
 
 
 def _advantage(p, q):
-    return i_ab(q) - i_ae_optimal(p, q)
+    """Bob's minus Eve's information; broadcasts over q, checks nothing."""
+    return _i_ab(q) - _i_ae_optimal(p, q)
 
 
 def crossing_point(p, tol=1e-9):
@@ -123,7 +121,9 @@ def crossing_point(p, tol=1e-9):
         Noise weight, restricted to [0, 0.5] (beyond that the curves
         stay uninformative for the key-rate question).
     tol : float
-        Final bracket width.
+        Final bracket width.  The search also stops once the bracket
+        cannot be split further in floating point, so a tol below the
+        float spacing near the root returns the tightest bracket.
 
     Returns
     -------
@@ -151,8 +151,7 @@ def crossing_point(p, tol=1e-9):
             f"advantage does not change sign on [{lo}, {hi}]: "
             f"f(lo)={f_lo}, f(hi)={f_hi}"
         )
-    scan = np.linspace(lo, hi, 1000)
-    signs = np.sign([_advantage(p, x) for x in scan])
+    signs = np.sign(_advantage(p, np.linspace(lo, hi, 1000)))
     signs = signs[signs != 0.0]
     changes = int(np.count_nonzero(np.diff(signs)))
     if changes == 0:
@@ -162,14 +161,15 @@ def crossing_point(p, tol=1e-9):
             f"pre-scan found {changes} sign changes for p={p}"
         )
     iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _advantage(p, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
     q_cross = 0.5 * (lo + hi)
+    # The second test ends the search once the bracket cannot split further.
+    while hi - lo > tol and lo < q_cross < hi:
+        if _advantage(p, q_cross) > 0.0:
+            lo = q_cross
+        else:
+            hi = q_cross
+        iterations += 1
+        q_cross = 0.5 * (lo + hi)
     q_line = PURE_CROSSING_D * (1.0 - p) + p / 2.0
     return CrossingResult(
         p=p,
@@ -207,4 +207,4 @@ def crossing_sweep(p_min, p_max, steps=21, tol=1e-9):
 def key_feasible(p, q):
     """Whether Bob still holds at least as much information as Eve."""
     p, q = check_domain(p, q)
-    return _advantage(p, q) >= 0.0
+    return bool(_advantage(p, q) >= 0.0)

@@ -21,8 +21,9 @@ import numpy as np
 
 from . import protocol
 from .exceptions import ConstraintError, DomainError
-from .info import check_domain
+from .info import _weights, beta_sq_optimal
 from .linalg import adjoint, is_isometry, partial_trace_probe, partial_trace_signal
+from .protocol import check_domain, check_range
 
 __all__ = [
     "AttackParameters",
@@ -163,17 +164,9 @@ def parameters_from_squares(p, q, beta_a_sq, beta_c_sq, cos_dphi):
     `constraint_residuals` or `sixstate.optimize.feasible_phase` for
     that.
     """
-    beta_a_sq = float(beta_a_sq)
-    beta_c_sq = float(beta_c_sq)
-    for val in (beta_a_sq, beta_c_sq):
-        if not (-1e-12 <= val <= 1.0 + 1e-12):
-            raise DomainError(f"squared weight {val} outside [0, 1]")
-    beta_a_sq = min(max(beta_a_sq, 0.0), 1.0)
-    beta_c_sq = min(max(beta_c_sq, 0.0), 1.0)
-    cos_dphi = float(cos_dphi)
-    if abs(cos_dphi) > 1.0 + 1e-12:
-        raise DomainError(f"cos_dphi={cos_dphi} outside [-1, 1]")
-    cos_dphi = min(max(cos_dphi, -1.0), 1.0)
+    beta_a_sq = check_range(beta_a_sq, 0.0, 1.0, "squared weight")
+    beta_c_sq = check_range(beta_c_sq, 0.0, 1.0, "squared weight")
+    cos_dphi = check_range(cos_dphi, -1.0, 1.0, "cos_dphi")
     return AttackParameters(
         p=p,
         q=q,
@@ -194,8 +187,6 @@ def optimal_parameters(p, q, branch="plus"):
     weights are complementary, which satisfies the overlap condition
     automatically.
     """
-    from .info import beta_sq_optimal
-
     ba = beta_sq_optimal(p, q, branch)
     return parameters_from_squares(p, q, ba, 1.0 - ba, 1.0)
 
@@ -294,23 +285,24 @@ def eve_distribution_closed_form(params):
     |01>, |11> when Alice sent bit 0; entries 4-7 the same for bit 1.
     Each quadruple sums to 1.
     """
-    p, q = params.p, params.q
-    d = (q - p / 2.0) / (1.0 - p)
-    pref = (1.0 - p / 2.0 - q) / (1.0 - p)
-    half = p / 2.0
-    ba = params.r_beta_a ** 2
-    bc = params.r_beta_c ** 2
-    ga = params.r_gamma_a ** 2
-    gc = params.r_gamma_c ** 2
+    d, pref, (beta0, beta1), (gamma0, gamma1) = _weights(
+        params.p,
+        params.q,
+        params.r_beta_a ** 2,
+        params.r_beta_c ** 2,
+        params.r_gamma_a ** 2,
+        params.r_gamma_c ** 2,
+    )
+    half = params.p / 2.0
     m = np.array(
         [
             (1.0 - half) * d,
-            pref * ((1.0 - half) * ba + half * bc),
-            pref * ((1.0 - half) * ga + half * gc),
+            pref * beta0,
+            pref * gamma0,
             half * d,
             half * d,
-            pref * (half * ba + (1.0 - half) * bc),
-            pref * (half * ga + (1.0 - half) * gc),
+            pref * beta1,
+            pref * gamma1,
             (1.0 - half) * d,
         ]
     )

@@ -110,7 +110,7 @@ def cmd_optimize(args):
 
 
 def cmd_verify(args):
-    p, q = info.check_domain(args.p, args.q)
+    p, q = protocol.check_domain(args.p, args.q)
     params = attack.optimal_parameters(p, q)
     ancillas = attack.build_ancillas(params)
     d = protocol.d_from_qber(q, p)

@@ -9,10 +9,6 @@ class DimensionError(ValueError):
     """An array has a shape the fixed-dimension routines cannot handle."""
 
 
-class ValidationError(ValueError):
-    """A quantum object violates one of its structural invariants."""
-
-
 class ConstraintError(ValueError):
     """Probe parameters or probe vectors break a required constraint."""
 

@@ -4,21 +4,24 @@ All logarithms are base 2 and ``0 log 0`` is taken to be 0.  Throughout,
 p is the white-noise weight of the source and q is Bob's observed error
 rate; the physical domain is ``0 <= p < 1`` and ``p/2 <= q <= 1/2``.
 
+Eve's outcome weights are written once, in `_weights`, and her
+information once, in `_i_ae`.  Both broadcast over numpy arrays and
+check nothing; each public function validates its scalar arguments and
+then calls them, and `sixstate.analysis` calls them on whole grids.
+
 The closed forms in this module have two independent cross-checks
 elsewhere in the package: `mutual_information` applied to the joint
 outcome table of the eavesdropper, and the brute-force search in
 `sixstate.optimize`.
 """
 
-import math
-
 import numpy as np
 
 from .exceptions import DomainError
+from .protocol import check_domain, check_range
 
 __all__ = [
     "tau",
-    "check_domain",
     "mutual_information",
     "i_ab",
     "beta_sq_optimal",
@@ -33,17 +36,12 @@ _NEG_TOL = 1e-12
 
 
 def _xlog2(x):
-    """x log2 x with the 0 log 0 = 0 convention."""
-    if x == 0.0:
-        return 0.0
-    return x * math.log2(x)
+    """x log2 x with the 0 log 0 = 0 convention, over arrays or scalars."""
+    return x * np.log2(x + (x == 0.0))
 
 
-def _clamp_nonneg(x, what):
-    x = float(x)
-    if x < -_NEG_TOL:
-        raise DomainError(f"{what} is negative beyond round-off: {x}")
-    return max(x, 0.0)
+def _tau(x, y):
+    return _xlog2(x) + _xlog2(y) - _xlog2(x + y)
 
 
 def tau(x, y):
@@ -52,29 +50,38 @@ def tau(x, y):
     The building block of the eavesdropper information formulas.  Inputs
     must be nonnegative; values in [-1e-12, 0) clamp to zero.
     """
-    x = _clamp_nonneg(x, "tau argument")
-    y = _clamp_nonneg(y, "tau argument")
-    return _xlog2(x) + _xlog2(y) - _xlog2(x + y)
+    x = check_range(x, 0.0, np.inf, "tau argument")
+    y = check_range(y, 0.0, np.inf, "tau argument")
+    return float(_tau(x, y))
 
 
-def check_domain(p, q):
-    """Validate a noise and error-rate pair, clamping boundary round-off.
+def _weights(p, q, ba, bc, ga, gc):
+    """Eve's outcome weights for squared probe weights; broadcasts, checks nothing.
 
-    Returns (p, q) with q forced into [p/2, 1/2].
-
-    Raises
-    ------
-    DomainError
-        If p is outside [0, 1) or q outside [p/2, 1/2] by more than
-        1e-12.
+    Returns ``(d, pref, beta, gamma)``: the flip probability d, the
+    kept-signal weight ``pref = 1 - d``, and for each of the beta and
+    gamma pairs the two weights ``((1 - p/2) a + (p/2) c,
+    (p/2) a + (1 - p/2) c)`` given Alice's bit 0 and bit 1.
     """
-    p = float(p)
-    q = float(q)
-    if not (math.isfinite(p) and 0.0 <= p < 1.0):
-        raise DomainError(f"noise parameter p={p} outside [0, 1)")
-    if not math.isfinite(q) or q < p / 2.0 - _NEG_TOL or q > 0.5 + _NEG_TOL:
-        raise DomainError(f"error rate q={q} outside [p/2, 1/2] for p={p}")
-    return p, min(max(q, p / 2.0), 0.5)
+    half = p / 2.0
+    d = (q - half) / (1.0 - p)
+    pref = (1.0 - half - q) / (1.0 - p)
+
+    def mix(a, c):
+        return (1.0 - half) * a + half * c, half * a + (1.0 - half) * c
+
+    return d, pref, mix(ba, bc), mix(ga, gc)
+
+
+def _i_ae(p, q, ba, bc, ga, gc):
+    """Eve's information for squared probe weights; broadcasts, checks nothing.
+
+    ``1 + (pref / 2) (tau_beta + tau_gamma) + d tau(1 - p/2, p/2)`` over
+    the weights of `_weights`.
+    """
+    d, pref, beta, gamma = _weights(p, q, ba, bc, ga, gc)
+    half = p / 2.0
+    return 1.0 + 0.5 * pref * (_tau(*beta) + _tau(*gamma)) + d * _tau(1.0 - half, half)
 
 
 def mutual_information(joint):
@@ -117,17 +124,24 @@ def mutual_information(joint):
     return value
 
 
+def _i_ab(q):
+    return 1.0 + _xlog2(q) + _xlog2(1.0 - q)
+
+
 def i_ab(q):
     """Mutual information between Alice and Bob at error rate q.
 
     ``1 + q log2 q + (1 - q) log2 (1 - q)``; exactly 1 at q = 0 and
     exactly 0 at q = 1/2.
     """
-    q = float(q)
-    if not math.isfinite(q) or q < -_NEG_TOL or q > 0.5 + _NEG_TOL:
-        raise DomainError(f"error rate q={q} outside [0, 1/2]")
-    q = min(max(q, 0.0), 0.5)
-    return 1.0 + _xlog2(q) + _xlog2(1.0 - q)
+    _, q = check_domain(0.0, q)
+    return float(_i_ab(q))
+
+
+def _root(p, q):
+    """The square-root term of `beta_sq_optimal`, capped at 1; broadcasts."""
+    root = np.sqrt((q - p / 2.0) * (2.0 - 3.0 * q - p / 2.0)) / (1.0 - p / 2.0 - q)
+    return np.minimum(root, 1.0)
 
 
 def beta_sq_optimal(p, q, branch="plus"):
@@ -143,14 +157,14 @@ def beta_sq_optimal(p, q, branch="plus"):
     p, q = check_domain(p, q)
     if branch not in ("plus", "minus"):
         raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    radicand = (q - p / 2.0) * (2.0 - 3.0 * q - p / 2.0)
-    # Nonnegative for every q <= 1/2; a violation means broken domain logic.
-    radicand = _clamp_nonneg(radicand, "root radicand")
-    root = math.sqrt(radicand) / (1.0 - p / 2.0 - q)
-    root = min(root, 1.0)
+    root = float(_root(p, q))
     if branch == "plus":
         return (1.0 + root) / 2.0
     return (1.0 - root) / 2.0
+
+
+def _i_ae_aligned(p, q, beta_sq):
+    return _i_ae(p, q, beta_sq, 1.0 - beta_sq, 1.0 - beta_sq, beta_sq)
 
 
 def i_ae_closed_form(p, q, beta_sq):
@@ -165,17 +179,13 @@ def i_ae_closed_form(p, q, beta_sq):
     terms of the first brace and leaves the value unchanged.
     """
     p, q = check_domain(p, q)
-    beta_sq = float(beta_sq)
-    if beta_sq < -_NEG_TOL or beta_sq > 1.0 + _NEG_TOL:
-        raise DomainError(f"beta_sq={beta_sq} outside [0, 1]")
-    beta_sq = min(max(beta_sq, 0.0), 1.0)
-    d = (q - p / 2.0) / (1.0 - p)
-    pref = (1.0 - p / 2.0 - q) / (1.0 - p)
-    x = (1.0 - p) * beta_sq + p / 2.0
-    y = (1.0 - p) * (1.0 - beta_sq) + p / 2.0
-    brace1 = _xlog2(x) + _xlog2(y)
-    brace2 = _xlog2(p / 2.0) + _xlog2(1.0 - p / 2.0)
-    return 1.0 + pref * brace1 + d * brace2
+    beta_sq = check_range(beta_sq, 0.0, 1.0, "beta_sq")
+    return float(_i_ae_aligned(p, q, beta_sq))
+
+
+def _i_ae_optimal(p, q):
+    value = _i_ae_aligned(p, q, (1.0 + _root(p, q)) / 2.0)
+    return np.where(q <= p / 2.0, 0.0, value)
 
 
 def i_ae_optimal(p, q):
@@ -186,9 +196,13 @@ def i_ae_optimal(p, q):
     without raising the error rate.
     """
     p, q = check_domain(p, q)
-    if q <= p / 2.0:
-        return 0.0
-    return i_ae_closed_form(p, q, beta_sq_optimal(p, q, "plus"))
+    return float(_i_ae_optimal(p, q))
+
+
+def _i_ae_antiphase(p, q):
+    half = p / 2.0
+    d = (q - half) / (1.0 - p)
+    return np.where(q <= half, 0.0, d * (1.0 + _xlog2(half) + _xlog2(1.0 - half)))
 
 
 def i_ae_antiphase(p, q):
@@ -198,10 +212,7 @@ def i_ae_antiphase(p, q):
     Never exceeds `i_ae_optimal`; at p = 0 it reduces to q.
     """
     p, q = check_domain(p, q)
-    if q <= p / 2.0:
-        return 0.0
-    d = (q - p / 2.0) / (1.0 - p)
-    return d * (1.0 + _xlog2(p / 2.0) + _xlog2(1.0 - p / 2.0))
+    return float(_i_ae_antiphase(p, q))
 
 
 def i_ae_general(params):
@@ -220,15 +231,13 @@ def i_ae_general(params):
         agrees with `mutual_information` applied to the joint table that
         pairs Alice's uniform bit with Eve's four outcomes.
     """
-    p, q = check_domain(params.p, params.q)
-    ba = params.r_beta_a ** 2
-    bc = params.r_beta_c ** 2
-    ga = params.r_gamma_a ** 2
-    gc = params.r_gamma_c ** 2
-    d = (q - p / 2.0) / (1.0 - p)
-    pref = (1.0 - p / 2.0 - q) / (1.0 - p)
-    half = p / 2.0
-    t_beta = tau((1.0 - half) * ba + half * bc, half * ba + (1.0 - half) * bc)
-    t_gamma = tau((1.0 - half) * ga + half * gc, half * ga + (1.0 - half) * gc)
-    t_noise = tau(1.0 - half, half)
-    return 1.0 + 0.5 * pref * (t_beta + t_gamma) + d * t_noise
+    return float(
+        _i_ae(
+            params.p,
+            params.q,
+            params.r_beta_a ** 2,
+            params.r_beta_c ** 2,
+            params.r_gamma_a ** 2,
+            params.r_gamma_c ** 2,
+        )
+    )

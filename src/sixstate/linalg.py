@@ -9,68 +9,19 @@ as ``index = 4 * signal + probe``.
 
 import numpy as np
 
-from .exceptions import DimensionError, ValidationError
+from .exceptions import DimensionError
 
 __all__ = [
-    "SUPPORTED_DIMS",
     "adjoint",
-    "tensor_product",
     "partial_trace_probe",
     "partial_trace_signal",
     "is_isometry",
-    "validate_state",
-    "validate_density",
 ]
-
-#: Hilbert space dimensions that occur in this package.
-SUPPORTED_DIMS = (1, 2, 4, 8)
-
-# Largest matrix axis a tensor product is allowed to produce.  8 x 8
-# operators are the biggest objects the analysis ever needs; one more
-# factor of 8 is tolerated so tests can build the full joint space, and
-# anything beyond that is almost certainly a usage error.
-_MAX_DIM = 64
 
 
 def adjoint(m):
     """Conjugate transpose of a matrix."""
     return np.asarray(m).conj().T
-
-
-def tensor_product(a, b):
-    """Kronecker product of two matrices.
-
-    Parameters
-    ----------
-    a, b : array-like
-        Two-dimensional arrays.  Vectors must be reshaped to column or
-        row form by the caller; this keeps the index bookkeeping of
-        composite systems explicit.
-
-    Returns
-    -------
-    numpy.ndarray
-        The Kronecker product, with row index ``i_a * rows(b) + i_b``.
-
-    Raises
-    ------
-    DimensionError
-        If either input is not two-dimensional or the product would
-        exceed 64 rows or columns.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(
-            "tensor_product expects 2-d arrays, got shapes "
-            f"{a.shape} and {b.shape}")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > _MAX_DIM or cols > _MAX_DIM:
-        raise DimensionError(
-            f"tensor product of {a.shape} and {b.shape} would be "
-            f"{rows} x {cols}, larger than {_MAX_DIM} in one axis")
-    return np.kron(a, b)
 
 
 def _as_joint_operator(rho):
@@ -115,47 +66,3 @@ def is_isometry(v, tol=1e-10):
     gram = adjoint(v) @ v
     return bool(np.max(np.abs(gram - np.eye(v.shape[1]))) <= tol)
 
-
-def validate_state(vec, tol=1e-12):
-    """Check a 1-d state vector for supported dimension and unit norm.
-
-    Returns the vector as a complex array.
-    """
-    vec = np.asarray(vec, dtype=complex)
-    if vec.ndim != 1 or vec.shape[0] not in SUPPORTED_DIMS:
-        raise DimensionError(f"unsupported state shape {vec.shape}")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > tol:
-        raise ValidationError(f"state norm {norm} deviates from 1 by more than {tol}")
-    return vec
-
-
-def validate_density(rho, herm_tol=1e-12, trace_tol=1e-12,
-                     check_positivity=False, eig_tol=1e-10):
-    """Check a density operator and return it as a complex array.
-
-    Hermiticity and unit trace are always checked; they are cheap enough
-    for inner loops.  The eigenvalue check behind ``check_positivity``
-    costs a diagonalization and is meant for diagnostics.
-
-    Raises
-    ------
-    DimensionError
-        If the shape is not square with dimension 2, 4 or 8.
-    ValidationError
-        On Hermiticity, trace or (when requested) positivity violations.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4, 8):
-        raise DimensionError(f"unsupported density operator shape {rho.shape}")
-    herm = float(np.max(np.abs(rho - adjoint(rho))))
-    if herm > herm_tol:
-        raise ValidationError(f"operator deviates from Hermitian by {herm}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValidationError(f"trace {tr} deviates from 1 by more than {trace_tol}")
-    if check_positivity:
-        lo = float(np.min(np.linalg.eigvalsh(rho)))
-        if lo < -eig_tol:
-            raise ValidationError(f"operator has negative eigenvalue {lo}")
-    return rho

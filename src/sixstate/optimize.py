@@ -21,7 +21,8 @@ import numpy as np
 
 from .attack import AttackParameters, overlap_target, parameters_from_squares
 from .exceptions import ConstraintError, DomainError, InfeasibleError
-from .info import check_domain, i_ae_general, beta_sq_optimal, tau
+from .info import _i_ae, _weights, beta_sq_optimal
+from .protocol import check_domain, check_range
 
 __all__ = [
     "OptimizationResult",
@@ -81,13 +82,8 @@ def feasible_phase(r_beta_a_sq, r_beta_c_sq, p, q):
     a (conventional) 1.0 is returned iff it already holds.
     """
     p, q = check_domain(p, q)
-    ba = float(r_beta_a_sq)
-    bc = float(r_beta_c_sq)
-    for val in (ba, bc):
-        if not (-1e-12 <= val <= 1.0 + 1e-12):
-            raise DomainError(f"squared weight {val} outside [0, 1]")
-    ba = min(max(ba, 0.0), 1.0)
-    bc = min(max(bc, 0.0), 1.0)
+    ba = check_range(r_beta_a_sq, 0.0, 1.0, "squared weight")
+    bc = check_range(r_beta_c_sq, 0.0, 1.0, "squared weight")
     t = overlap_target(p, q)
     pb = math.sqrt(ba * bc)
     pg = math.sqrt((1.0 - ba) * (1.0 - bc))
@@ -101,30 +97,13 @@ def feasible_phase(r_beta_a_sq, r_beta_c_sq, p, q):
     return min(max(cos, -1.0), 1.0)
 
 
-def _tau_grid(x, y):
-    """Vectorized tau over nonnegative arrays (0 log 0 = 0)."""
-    xs = np.where(x > 0.0, x, 1.0)
-    ys = np.where(y > 0.0, y, 1.0)
-    s = x + y
-    ss = np.where(s > 0.0, s, 1.0)
-    return x * np.log2(xs) + y * np.log2(ys) - s * np.log2(ss)
-
-
 def _objective(p, q, ba, bc):
     """Eve's information over arrays of squared weights.
 
-    Identical to `sixstate.info.i_ae_general` but vectorized and
-    phase-free (the objective never depends on the phases).
+    The gamma weights follow from the unit norms; the objective never
+    depends on the phases.
     """
-    half = p / 2.0
-    d = (q - half) / (1.0 - p)
-    pref = (1.0 - half - q) / (1.0 - p)
-    x1 = (1.0 - half) * ba + half * bc
-    y1 = half * ba + (1.0 - half) * bc
-    x2 = (1.0 - half) * (1.0 - ba) + half * (1.0 - bc)
-    y2 = half * (1.0 - ba) + (1.0 - half) * (1.0 - bc)
-    t_noise = tau(1.0 - half, half)
-    return 1.0 + 0.5 * pref * (_tau_grid(x1, y1) + _tau_grid(x2, y2)) + d * t_noise
+    return _i_ae(p, q, ba, bc, 1.0 - ba, 1.0 - bc)
 
 
 def _boundary_candidates(t, axis_vals, lo, hi):
@@ -298,11 +277,9 @@ def lagrange_residual(params):
         return LagrangeResidual(0.0, 0.0, 0.0, 0.0, degenerate=True)
 
     half = p / 2.0
-    pref = (1.0 - half - q) / (1.0 - p)
-    m2 = pref * ((1.0 - half) * rba ** 2 + half * rbc ** 2)
-    m6 = pref * (half * rba ** 2 + (1.0 - half) * rbc ** 2)
-    m3 = pref * ((1.0 - half) * rga ** 2 + half * rgc ** 2)
-    m7 = pref * (half * rga ** 2 + (1.0 - half) * rgc ** 2)
+    _, pref, beta, gamma = _weights(p, q, rba ** 2, rbc ** 2, rga ** 2, rgc ** 2)
+    m2, m6 = pref * beta[0], pref * beta[1]
+    m3, m7 = pref * gamma[0], pref * gamma[1]
 
     def rhs_entry(r, m_top, m_bot, w_top, w_bot):
         if r == 0.0:
@@ -371,8 +348,7 @@ def phase_branch_scan(p, q, cos_sign, samples=2001):
     arcs = []
     if cos_sign > 0:
         # pb + pg = t  <=>  |alpha - chi| = theta.
-        n = max(1, samples)
-        base = np.linspace(0.0, math.pi / 2.0 - theta, n)
+        base = np.linspace(0.0, math.pi / 2.0 - theta, samples)
         pairs = ((base + theta, base), (base, base + theta))
     else:
         # pb - pg = t  <=>  alpha + chi = theta.

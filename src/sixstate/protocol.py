@@ -5,6 +5,9 @@ x, y, z.  A white-noise source replaces her pure state by the mixture
 ``(1 - p) |b><b| + (p / 2) I``, so even without an eavesdropper Bob sees
 an error rate of p/2.  An eavesdropper who flips the kept signal with
 probability d raises that to ``q = d (1 - p) + p / 2``.
+
+`check_domain` is the package's one validator of a ``(p, q)`` pair, and
+`check_range` its one range check with round-off clamping.
 """
 
 import numpy as np
@@ -13,6 +16,8 @@ from .exceptions import DomainError
 
 __all__ = [
     "BASES",
+    "check_range",
+    "check_domain",
     "pure_signal",
     "noisy_signal",
     "qber_from_bob_states",
@@ -44,11 +49,35 @@ def _check_basis_bit(basis, bit):
         raise DomainError(f"bit must be 0 or 1, got {bit!r}")
 
 
-def _check_noise(p):
+def check_range(x, lo, hi, what):
+    """x as a float in [lo, hi], with round-off up to 1e-12 outside clamped.
+
+    Raises
+    ------
+    DomainError
+        If x is NaN or lies outside [lo, hi] by more than 1e-12.
+    """
+    x = float(x)
+    if not lo - _TOL <= x <= hi + _TOL:
+        raise DomainError(f"{what}={x} outside [{lo}, {hi}]")
+    return min(max(x, lo), hi)
+
+
+def check_domain(p, q):
+    """Validate a noise and error-rate pair, clamping boundary round-off.
+
+    Returns (p, q) with q forced into [p/2, 1/2].
+
+    Raises
+    ------
+    DomainError
+        If p is outside [0, 1) or q outside [p/2, 1/2] by more than
+        1e-12.
+    """
     p = float(p)
-    if not (np.isfinite(p) and 0.0 <= p < 1.0):
+    if not 0.0 <= p < 1.0:
         raise DomainError(f"noise parameter p={p} outside [0, 1)")
-    return p
+    return p, check_range(q, p / 2.0, 0.5, "error rate q")
 
 
 def pure_signal(basis, bit):
@@ -66,7 +95,7 @@ def noisy_signal(basis, bit, p):
     Returns ``(1 - p) |b><b| + (p / 2) I`` for the pure signal ``|b>``,
     the state the source actually emits at noise level p.
     """
-    p = _check_noise(p)
+    p, _ = check_domain(p, p / 2.0)
     ket = pure_signal(basis, bit)
     return (1.0 - p) * np.outer(ket, ket.conj()) + (p / 2.0) * np.eye(2, dtype=complex)
 
@@ -98,19 +127,12 @@ def qber_from_bob_states(rho0, rho1, basis):
 
 def qber_from_d(d, p):
     """Bob's error rate ``d (1 - p) + p / 2`` for flip probability d."""
-    p = _check_noise(p)
-    d = float(d)
-    if d < -_TOL or d > 0.5 + _TOL:
-        raise DomainError(f"flip probability d={d} outside [0, 1/2]")
-    d = min(max(d, 0.0), 0.5)
+    p, _ = check_domain(p, p / 2.0)
+    d = check_range(d, 0.0, 0.5, "flip probability d")
     return d * (1.0 - p) + p / 2.0
 
 
 def d_from_qber(q, p):
     """Flip probability ``(q - p/2) / (1 - p)``, inverse of qber_from_d."""
-    p = _check_noise(p)
-    q = float(q)
-    if q < p / 2.0 - _TOL or q > 0.5 + _TOL:
-        raise DomainError(f"error rate q={q} outside [p/2, 1/2] for p={p}")
-    q = min(max(q, p / 2.0), 0.5)
+    p, q = check_domain(p, q)
     return (q - p / 2.0) / (1.0 - p)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sixstate
 from sixstate import info
 from sixstate.analysis import (
     PURE_CROSSING_D,
@@ -46,6 +51,20 @@ class TestCurveSweep:
             for v in (pt.i_ab, pt.i_ae_opt, pt.i_ae_alt, pt.beta_sq):
                 assert 0.0 <= v <= 1.0
 
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.9, 0.99])
+    def test_rows_bit_equal_to_scalar_functions(self, p):
+        for pt in curve_sweep(p, steps=200):
+            q = pt.q
+            assert (pt.i_ab, pt.i_ae_opt, pt.i_ae_alt, pt.i_ab_pure, pt.i_ae_pure,
+                    pt.beta_sq) == (
+                info.i_ab(q),
+                info.i_ae_optimal(p, q),
+                info.i_ae_antiphase(p, q),
+                info.i_ab(q),
+                info.i_ae_optimal(0.0, q),
+                info.beta_sq_optimal(p, q, "plus"),
+            )
+
     def test_too_few_steps(self):
         with pytest.raises(DomainError):
             curve_sweep(0.05, steps=1)
@@ -71,6 +90,21 @@ class TestCrossingPoint:
         fine = crossing_point(0.1, tol=1e-12)
         assert abs(res.q_cross - fine.q_cross) < 1e-6
         assert res.iterations < fine.iterations
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        # The bracket cannot shrink below the float spacing near the root,
+        # so the search must stop on its own; run it in a subprocess so a
+        # hang fails the test instead of stalling the suite.
+        src = os.path.dirname(os.path.dirname(sixstate.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "from sixstate.analysis import crossing_point; "
+            "print(repr(crossing_point(0.05, tol=1e-20).q_cross))"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) == pytest.approx(crossing_point(0.05).q_cross, abs=1e-9)
 
     def test_margin_positive_at_nonzero_noise(self):
         assert crossing_point(0.1).margin > 0.0

@@ -5,7 +5,6 @@ from sixstate import attack
 from sixstate.exceptions import DomainError
 from sixstate.info import (
     beta_sq_optimal,
-    check_domain,
     i_ab,
     i_ae_antiphase,
     i_ae_closed_form,
@@ -14,6 +13,7 @@ from sixstate.info import (
     mutual_information,
     tau,
 )
+from sixstate.protocol import check_domain
 
 # interior sampling grid reused by several property tests
 GRID = [
@@ -199,9 +199,10 @@ class TestIAEGeneral:
 
     def test_matches_mutual_information_for_random_params(self):
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            p = float(rng.uniform(0.0, 0.4))
-            q = float(rng.uniform(p / 2, 0.5))
+        for k in range(30):
+            p = float(rng.uniform(0.0, 0.99))
+            # every third point on each error-rate endpoint
+            q = (p / 2, 0.5, float(rng.uniform(p / 2, 0.5)))[k % 3]
             ba, bc = rng.uniform(0.0, 1.0, size=2)
             params = attack.parameters_from_squares(p, q, ba, bc, 1.0)
             joint = 0.5 * attack.eve_distribution_closed_form(params).reshape(2, 4)

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from sixstate.exceptions import DimensionError, ValidationError
+from sixstate.exceptions import DimensionError
 from sixstate.linalg import (
     adjoint,
     is_isometry,
     partial_trace_probe,
     partial_trace_signal,
-    tensor_product,
-    validate_density,
-    validate_state,
 )
 
 
@@ -24,27 +21,6 @@ def test_adjoint_conjugate_transposes():
     m = np.array([[1.0, 2.0 + 1j], [0.0, -1j]])
     expected = np.array([[1.0, 0.0], [2.0 - 1j, 1j]])
     assert np.array_equal(adjoint(m), expected)
-
-
-def test_tensor_product_blocks():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.eye(2)
-    out = tensor_product(a, b)
-    assert out.shape == (4, 4)
-    assert np.allclose(out[:2, :2], b)
-    assert np.allclose(out[:2, 2:], 2 * b)
-    assert np.allclose(out[2:, 2:], 4 * b)
-
-
-def test_tensor_product_rejects_non_2d():
-    with pytest.raises(DimensionError):
-        tensor_product(np.ones(2), np.eye(2))
-
-
-def test_tensor_product_rejects_oversized_result():
-    big = np.eye(32)
-    with pytest.raises(DimensionError):
-        tensor_product(big, np.eye(4))
 
 
 class TestPartialTraces:
@@ -95,32 +71,3 @@ class TestIsIsometry:
         with pytest.raises(DimensionError):
             is_isometry(np.ones((2, 8)))
 
-
-def test_validate_state_accepts_unit_vector():
-    validate_state(np.array([1.0, 1.0j]) / np.sqrt(2))
-
-
-def test_validate_state_rejects_unnormalized():
-    with pytest.raises(ValidationError):
-        validate_state(np.array([1.0, 1.0]))
-
-
-def test_validate_density_accepts_valid():
-    validate_density(random_density(4, seed=6), check_positivity=True)
-
-
-def test_validate_density_rejects_non_hermitian():
-    rho = np.array([[0.5, 0.5], [0.0, 0.5]])
-    with pytest.raises(ValidationError):
-        validate_density(rho)
-
-
-def test_validate_density_rejects_wrong_trace():
-    with pytest.raises(ValidationError):
-        validate_density(np.eye(2))
-
-
-def test_validate_density_rejects_negative_eigenvalue():
-    rho = np.diag([1.5, -0.5])
-    with pytest.raises(ValidationError):
-        validate_density(rho, check_positivity=True)
