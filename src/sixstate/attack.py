@@ -21,7 +21,7 @@ import numpy as np
 
 from . import protocol
 from .exceptions import ConstraintError, DomainError
-from .info import _weights, beta_sq_optimal
+from .info import _root, _weights
 from .linalg import adjoint, is_isometry, partial_trace_probe, partial_trace_signal
 from .protocol import check_domain, check_range
 
@@ -183,12 +183,31 @@ def optimal_parameters(p, q, branch="plus"):
     """Parameters of the information-maximizing attack at (p, q).
 
     Aligned phases (cos of the difference = +1) with the stationary
-    squared weight from `sixstate.info.beta_sq_optimal`; the two probe
-    weights are complementary, which satisfies the overlap condition
-    automatically.
+    squared weight of `sixstate.info.beta_sq_optimal`, written as
+    ``cos^2 theta`` with ``2 theta = atan2(t, root)``, where
+    ``t = overlap_target(p, q)`` and root is that formula's square-root
+    term (``t^2 + root^2 = 1``).  The radii are ``r_beta_a = r_gamma_c =
+    cos theta`` and ``r_gamma_a = r_beta_c = sin theta``; "minus" swaps
+    the two.  The overlap condition ``sin 2 theta = t`` then holds to
+    round-off even where the weight itself rounds to 1.
     """
-    ba = beta_sq_optimal(p, q, branch)
-    return parameters_from_squares(p, q, ba, 1.0 - ba, 1.0)
+    p, q = check_domain(p, q)
+    if branch not in ("plus", "minus"):
+        raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    theta = 0.5 * math.atan2(overlap_target(p, q), float(_root(p, q)))
+    big, small = math.cos(theta), math.sin(theta)
+    if branch == "minus":
+        big, small = small, big
+    return AttackParameters(
+        p=p,
+        q=q,
+        r_beta_a=big,
+        r_gamma_a=small,
+        phi_gamma_a=0.0,
+        r_beta_c=small,
+        r_gamma_c=big,
+        phi_gamma_c=0.0,
+    )
 
 
 def antiphase_parameters(p, q):
@@ -313,6 +332,12 @@ def eve_distribution_closed_form(params):
     return m
 
 
+def _joint_states(iso, basis, p):
+    """``iso rho iso^dagger`` for the noisy basis states of bits 0 and 1."""
+    iso = np.asarray(iso, dtype=complex)
+    return [iso @ protocol.noisy_signal(basis, bit, p) @ adjoint(iso) for bit in (0, 1)]
+
+
 def simulate_eve_distribution(iso, p):
     """Eve's outcome probabilities by direct density-matrix evolution.
 
@@ -321,13 +346,9 @@ def simulate_eve_distribution(iso, p):
     probe populations in the order |00>, |10>, |01>, |11>.  Independent
     oracle for `eve_distribution_closed_form`.
     """
-    iso = np.asarray(iso, dtype=complex)
     out = []
-    for bit in (0, 1):
-        rho = protocol.noisy_signal("z", bit, p)
-        joint = iso @ rho @ adjoint(iso)
-        probe = partial_trace_signal(joint)
-        pops = np.real(np.diag(probe))
+    for joint in _joint_states(iso, "z", p):
+        pops = np.real(np.diag(partial_trace_signal(joint)))
         out.extend(pops[i] for i in _OUTCOME_ORDER)
     return np.array(out)
 
@@ -338,13 +359,8 @@ def simulate_qber(iso, p, basis):
     Sends both noisy basis states through the isometry, reduces to
     Bob's qubit, and scores the misidentification probability.
     """
-    iso = np.asarray(iso, dtype=complex)
-    reduced = []
-    for bit in (0, 1):
-        rho = protocol.noisy_signal(basis, bit, p)
-        joint = iso @ rho @ adjoint(iso)
-        reduced.append(partial_trace_probe(joint))
-    return protocol.qber_from_bob_states(reduced[0], reduced[1], basis)
+    bob0, bob1 = (partial_trace_probe(j) for j in _joint_states(iso, basis, p))
+    return protocol.qber_from_bob_states(bob0, bob1, basis)
 
 
 def bob_symmetry_residual(iso, p, basis):
@@ -354,11 +370,8 @@ def bob_symmetry_residual(iso, p, basis):
     states; zero means the two flip probabilities match, so Alice and
     Bob see a symmetric error channel in that basis.
     """
-    iso = np.asarray(iso, dtype=complex)
     flips = []
-    for bit in (0, 1):
-        rho = protocol.noisy_signal(basis, bit, p)
-        joint = iso @ rho @ adjoint(iso)
+    for bit, joint in enumerate(_joint_states(iso, basis, p)):
         bob = partial_trace_probe(joint)
         other = protocol.pure_signal(basis, 1 - bit)
         flips.append(float(np.real(np.vdot(other, bob @ other))))

@@ -11,6 +11,7 @@ I/O failure, 3 crossing-search failure, 4 closed-form/grid mismatch.
 """
 
 import argparse
+import operator
 import sys
 
 from . import analysis, attack, info, optimize, protocol
@@ -38,36 +39,21 @@ def _write_lines(path, lines):
             fh.write(text)
 
 
+def _csv(header, records):
+    """The header line, then one line per record of its header-named fields."""
+    fields = operator.attrgetter(*header.split(","))
+    return [header] + [",".join(map(_fmt, fields(rec))) for rec in records]
+
+
 def cmd_curves(args):
     points = analysis.curve_sweep(args.p, args.steps)
-    lines = [CURVES_HEADER]
-    for pt in points:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    pt.q,
-                    pt.i_ab,
-                    pt.i_ae_opt,
-                    pt.i_ae_alt,
-                    pt.i_ab_pure,
-                    pt.i_ae_pure,
-                    pt.beta_sq,
-                )
-            )
-        )
-    _write_lines(args.out, lines)
+    _write_lines(args.out, _csv(CURVES_HEADER, points))
     return 0
 
 
 def cmd_crossing(args):
     results = analysis.crossing_sweep(args.p_min, args.p_max, args.steps, args.tol)
-    lines = [CROSSING_HEADER]
-    for res in results:
-        lines.append(
-            ",".join(_fmt(v) for v in (res.p, res.q_cross, res.q_line, res.margin))
-        )
-    _write_lines(args.out, lines)
+    _write_lines(args.out, _csv(CROSSING_HEADER, results))
     return 0
 
 
@@ -93,7 +79,7 @@ def cmd_optimize(args):
         f"branch = {result.branch}",
         f"evaluations = {result.evaluations}",
     ]
-    sys.stdout.write("\n".join(report) + "\n")
+    _write_lines(None, report)
     if args.out is not None:
         row = ",".join(
             _fmt(v)
@@ -155,7 +141,7 @@ def cmd_verify(args):
         all_ok = all_ok and passed
         lines.append(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
     lines.append(f"i_ab - i_ae_opt = {_fmt(info.i_ab(q) - opt)}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write_lines(None, lines)
     return 0 if all_ok else 1
 
 
@@ -210,10 +196,7 @@ def main(argv=None):
     except (NoCrossingError, AmbiguousCrossingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

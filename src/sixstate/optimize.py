@@ -110,37 +110,26 @@ def _boundary_candidates(t, axis_vals, lo, hi):
     """Exact overlap-boundary points above each lattice column.
 
     For each fixed first coordinate a, solves ``pb +- pg = t`` for the
-    second coordinate.  Squaring merges the two signs into one
-    quadratic, so each root is checked against the unsquared equations
-    and kept only if one of them genuinely holds.
+    second coordinate, all columns at once: row k holds column k's two
+    roots, the + root first, so the flattened output keeps scan order.
+    Squaring merges the two signs into one quadratic, so each root is
+    checked against the unsquared equations and kept only if one of
+    them genuinely holds.
     """
-    out_a = []
-    out_c = []
-    for a in axis_vals:
-        disc = (1.0 - t * t) * (1.0 - a)
-        if disc < 0.0:
-            continue
-        root = math.sqrt(disc)
-        base = t * math.sqrt(a)
-        for u in (base + root, base - root):
-            if u < 0.0:
-                if u < -1e-9:
-                    continue
-                u = 0.0
-            if u > 1.0:
-                if u > 1.0 + 1e-9:
-                    continue
-                u = 1.0
-            c = u * u
-            if not (lo - 1e-15 <= c <= hi + 1e-15):
-                continue
-            pb = math.sqrt(a * c)
-            pg = math.sqrt((1.0 - a) * (1.0 - c))
-            if min(abs(pb + pg - t), abs(pb - pg - t)) > _BOUNDARY_CUT:
-                continue
-            out_a.append(a)
-            out_c.append(min(max(c, lo), hi))
-    return np.array(out_a), np.array(out_c)
+    a = axis_vals[:, None]
+    # 1 - t^2 rounds below zero when t rounds above 1 (q = p/2); such
+    # columns have no root, except a = 1 where the product is -0.0.
+    disc = (1.0 - t * t) * (1.0 - a)
+    real = disc >= 0.0
+    root = np.sqrt(np.where(real, disc, 0.0))
+    u = t * np.sqrt(a) + np.hstack([root, -root])
+    keep = real & (u >= -1e-9) & (u <= 1.0 + 1e-9)
+    c = np.clip(u, 0.0, 1.0) ** 2
+    keep &= (lo - 1e-15 <= c) & (c <= hi + 1e-15)
+    pb = np.sqrt(a * c)
+    pg = np.sqrt((1.0 - a) * (1.0 - c))
+    keep &= np.minimum(np.abs(pb + pg - t), np.abs(pb - pg - t)) <= _BOUNDARY_CUT
+    return np.broadcast_to(a, c.shape)[keep], np.clip(c, lo, hi)[keep]
 
 
 def grid_refine_maximize(p, q, grid=201, refine_iters=6):
@@ -225,11 +214,9 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
         lo_c = max(0.0, best_c - span_c / 2.0)
         hi_c = min(1.0, best_c + span_c / 2.0)
 
-    cos = feasible_phase(best_a, best_c, p, q)
-    if cos is None:
-        pb = math.sqrt(best_a * best_c)
-        pg = math.sqrt((1.0 - best_a) * (1.0 - best_c))
-        cos = 1.0 if pg == 0.0 else min(max((t - pb) / pg, -1.0), 1.0)
+    pb = math.sqrt(best_a * best_c)
+    pg = math.sqrt((1.0 - best_a) * (1.0 - best_c))
+    cos = 1.0 if pg == 0.0 else min(max((t - pb) / pg, -1.0), 1.0)
     params = parameters_from_squares(p, q, best_a, best_c, cos)
     branch = "phase0" if cos >= 0.0 else "phasepi"
     return OptimizationResult(
@@ -368,18 +355,11 @@ def _local_max_runs(values):
     a run counts as a maximum when every existing neighbor run is
     strictly lower.  A constant array yields exactly one maximum.
     """
-    n = len(values)
-    starts = [0]
-    for i in range(1, n):
-        if values[i] != values[starts[-1]]:
-            starts.append(i)
-    out = []
-    for j, s in enumerate(starts):
-        left_ok = j == 0 or values[starts[j - 1]] < values[s]
-        right_ok = j == len(starts) - 1 or values[starts[j + 1]] < values[s]
-        if left_ok and right_ok:
-            out.append(s)
-    return out
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    runs = values[starts]
+    rises = runs[:-1] < runs[1:]
+    falls = runs[1:] < runs[:-1]
+    return starts[np.r_[True, rises] & np.r_[falls, True]]
 
 
 def verify_root_pair(p, q, samples=4001, loc_tol=1e-3, val_tol=1e-10):
@@ -392,11 +372,11 @@ def verify_root_pair(p, q, samples=4001, loc_tol=1e-3, val_tol=1e-10):
     a point count as a coincident pair.
     """
     p, q = check_domain(p, q)
-    arcs = phase_branch_scan(p, q, 1, samples=samples)
-    maxima = []
-    for ba, bc, vals in arcs:
-        for idx in _local_max_runs(vals):
-            maxima.append((float(ba[idx]), float(vals[idx])))
+    maxima = [
+        (float(ba[i]), float(vals[i]))
+        for ba, _, vals in phase_branch_scan(p, q, 1, samples=samples)
+        for i in _local_max_runs(vals)
+    ]
     if len(maxima) != 2:
         return False
     (ba1, v1), (ba2, v2) = maxima

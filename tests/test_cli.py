@@ -161,6 +161,10 @@ class TestVerify:
         assert cli.main(["verify", "--p", "0.9", "--q", "0.46"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_half_error_rate_at_high_noise(self, capsys):
+        assert cli.main(["verify", "--p", "0.9", "--q", "0.5"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_no_interaction_point_degenerate_stationarity(self, capsys):
         assert cli.main(["verify", "--p", "0.1", "--q", "0.05"]) == 0
         assert "degenerate" in capsys.readouterr().out

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from sixstate import attack, info
+from sixstate import attack, info, optimize
 from sixstate.exceptions import ConstraintError, DomainError
 from sixstate.optimize import (
     feasible_phase,
@@ -103,6 +105,13 @@ class TestLagrangeResidual:
         res = lagrange_residual(attack.parameters_from_squares(p, q, ba, bc, cos))
         assert res.residual_norm > 1e-3
 
+    def test_optimum_at_half_error_rate(self):
+        # the stationary weight rounds to 1 - eps here; radii built from
+        # its square root used to miss the overlap condition by ~1e-8
+        p = np.linspace(0.0, 0.9, 16)[7]
+        res = lagrange_residual(attack.optimal_parameters(p, 0.5))
+        assert res.residual_norm < 1e-12
+
     def test_degenerate_at_no_interaction(self):
         res = lagrange_residual(attack.optimal_parameters(0.1, 0.05))
         assert res.degenerate
@@ -182,3 +191,74 @@ class TestVerifyRootPair:
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.3])
     def test_half_error_rate_degenerate_pair(self, p):
         assert verify_root_pair(p, 0.5)
+
+
+def _boundary_candidates_loop(t, axis_vals, lo, hi):
+    """Column-by-column reference for `optimize._boundary_candidates`."""
+    out_a = []
+    out_c = []
+    for a in axis_vals:
+        disc = (1.0 - t * t) * (1.0 - a)
+        if disc < 0.0:
+            continue
+        root = math.sqrt(disc)
+        base = t * math.sqrt(a)
+        for u in (base + root, base - root):
+            if not -1e-9 <= u <= 1.0 + 1e-9:
+                continue
+            c = min(max(u, 0.0), 1.0) ** 2
+            if not (lo - 1e-15 <= c <= hi + 1e-15):
+                continue
+            pb = math.sqrt(a * c)
+            pg = math.sqrt((1.0 - a) * (1.0 - c))
+            if min(abs(pb + pg - t), abs(pb - pg - t)) > optimize._BOUNDARY_CUT:
+                continue
+            out_a.append(a)
+            out_c.append(min(max(c, lo), hi))
+    return np.array(out_a), np.array(out_c)
+
+
+def _local_max_runs_loop(values):
+    """Sample-by-sample reference for `optimize._local_max_runs`."""
+    starts = [0]
+    for i in range(1, len(values)):
+        if values[i] != values[starts[-1]]:
+            starts.append(i)
+    out = []
+    for j, s in enumerate(starts):
+        left_ok = j == 0 or values[starts[j - 1]] < values[s]
+        right_ok = j == len(starts) - 1 or values[starts[j + 1]] < values[s]
+        if left_ok and right_ok:
+            out.append(s)
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestArrayGeometry:
+    """The array search geometry equals its loop references bit for bit."""
+
+    # at (0.11, 0.055) the overlap target rounds to 1 + 2e-16
+    @pytest.mark.parametrize(
+        "p,q",
+        [(0.0, 0.0), (0.11, 0.055), (0.05, 0.1), (0.2, 0.3), (0.9, 0.5), (0.5, 0.5 - 1e-13)],
+    )
+    def test_boundary_candidates_match_loop(self, p, q):
+        t = attack.overlap_target(p, q)
+        rng = np.random.default_rng(5)
+        windows = [(0.0, 1.0)] + [tuple(np.sort(rng.uniform(0.0, 1.0, 2))) for _ in range(20)]
+        for lo, hi in windows:
+            axis = np.linspace(lo, hi, 51)
+            for lo_c, hi_c in windows[:3]:
+                got = optimize._boundary_candidates(t, axis, lo_c, hi_c)
+                want = _boundary_candidates_loop(t, axis, lo_c, hi_c)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+
+    def test_local_max_runs_match_loop(self):
+        rng = np.random.default_rng(9)
+        for _ in range(2000):
+            vals = rng.integers(0, 4, size=int(rng.integers(1, 25))).astype(float)
+            assert optimize._local_max_runs(vals).tolist() == _local_max_runs_loop(vals)
+        for sign in (1, -1):
+            for _, _, vals in phase_branch_scan(0.2, 0.3, sign, samples=801):
+                assert optimize._local_max_runs(vals).tolist() == _local_max_runs_loop(vals)
