@@ -43,7 +43,6 @@ from .exceptions import (
     ConstraintError,
     DimensionError,
     DomainError,
-    InfeasibleError,
     NoCrossingError,
 )
 from .info import (
@@ -83,7 +82,6 @@ __all__ = [
     "ConstraintError",
     "DimensionError",
     "DomainError",
-    "InfeasibleError",
     "NoCrossingError",
     "antiphase_parameters",
     "beta_sq_optimal",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
 from .info import _i_ab, _i_ae_antiphase, _i_ae_optimal, _root
-from .protocol import check_domain
+from .protocol import check_domain, check_range
 
 __all__ = [
     "PURE_CROSSING_D",
@@ -34,6 +34,10 @@ PURE_CROSSING_D = 0.15637
 
 # The crossing search brackets stay this far inside the open interval.
 _EDGE = 1e-9
+# Largest sweep sizes: they bound memory (one CurvePoint per curve step)
+# and run time (one bisection per crossing step).
+_MAX_CURVE_STEPS = 100_000
+_MAX_CROSSING_STEPS = 10_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,7 +83,7 @@ def curve_sweep(p, steps=200):
     p : float
         Noise weight in [0, 1).
     steps : int
-        Number of grid points over [p/2, 1/2], at least 2.
+        Number of grid points over [p/2, 1/2], 2 to 100,000.
 
     Returns
     -------
@@ -87,8 +91,8 @@ def curve_sweep(p, steps=200):
     """
     p, _ = check_domain(p, p / 2.0)
     steps = int(steps)
-    if steps < 2:
-        raise DomainError(f"steps={steps} must be at least 2")
+    if not 2 <= steps <= _MAX_CURVE_STEPS:
+        raise DomainError(f"steps={steps} outside [2, {_MAX_CURVE_STEPS}]")
     qs = np.linspace(p / 2.0, 0.5, steps)
     i_ab = _i_ab(qs).tolist()
     columns = zip(
@@ -136,9 +140,7 @@ def crossing_point(p, tol=1e-9):
     AmbiguousCrossingError
         If the pre-scan sees more than one sign change.
     """
-    p = float(p)
-    if not (0.0 <= p <= 0.5):
-        raise DomainError(f"noise parameter p={p} outside [0, 0.5]")
+    p = check_range(p, 0.0, 0.5, "noise parameter p")
     tol = float(tol)
     if not tol > 0.0:
         raise DomainError(f"tol={tol} must be positive")
@@ -183,16 +185,15 @@ def crossing_point(p, tol=1e-9):
 def crossing_sweep(p_min, p_max, steps=21, tol=1e-9):
     """Crossing thresholds on a uniform noise grid.
 
-    steps == 1 degenerates to the single point p_min (p_max must then
-    equal p_min); otherwise p_min < p_max is required.
+    steps runs from 1 to 10,000.  steps == 1 degenerates to the single
+    point p_min (p_max must then equal p_min); otherwise p_min < p_max
+    is required.
     """
-    p_min = float(p_min)
-    p_max = float(p_max)
     steps = int(steps)
-    if steps < 1:
-        raise DomainError(f"steps={steps} must be at least 1")
-    if not (0.0 <= p_min <= p_max <= 0.5):
-        raise DomainError(f"noise range [{p_min}, {p_max}] outside [0, 0.5]")
+    if not 1 <= steps <= _MAX_CROSSING_STEPS:
+        raise DomainError(f"steps={steps} outside [1, {_MAX_CROSSING_STEPS}]")
+    p_min = check_range(p_min, 0.0, 0.5, "noise parameter p_min")
+    p_max = check_range(p_max, p_min, 0.5, "noise parameter p_max")
     if steps == 1:
         if not math.isclose(p_min, p_max, abs_tol=1e-15):
             raise DomainError("steps=1 requires p_min == p_max")

@@ -216,33 +216,15 @@ def antiphase_parameters(p, q):
     Equal probe weights ``(1 + t) / 2`` with ``t = overlap_target(p, q)``
     and a phase difference of pi.
     """
-    t = overlap_target(p, q)
-    ba = (1.0 + t) / 2.0
-    return AttackParameters(
-        p=p,
-        q=q,
-        r_beta_a=math.sqrt(ba),
-        r_gamma_a=math.sqrt(1.0 - ba),
-        phi_gamma_a=math.pi,
-        r_beta_c=math.sqrt(ba),
-        r_gamma_c=math.sqrt(1.0 - ba),
-        phi_gamma_c=0.0,
-    )
+    ba = (1.0 + overlap_target(p, q)) / 2.0
+    return parameters_from_squares(p, q, ba, ba, -1.0)
 
 
 def build_ancillas(params):
     """Assemble the four probe state vectors for a parameter point."""
-    a = np.zeros(4, dtype=complex)
-    a[2] = params.r_beta_a
-    a[1] = params.r_gamma_a * np.exp(1j * params.phi_gamma_a)
-    c = np.zeros(4, dtype=complex)
-    c[2] = params.r_beta_c
-    c[1] = params.r_gamma_c * np.exp(1j * params.phi_gamma_c)
-    b = np.zeros(4, dtype=complex)
-    b[0] = 1.0
-    d = np.zeros(4, dtype=complex)
-    d[3] = 1.0
-    return AncillaSet(a=a, b=b, c=c, d=d)
+    a = [0.0, params.r_gamma_a * np.exp(1j * params.phi_gamma_a), params.r_beta_a, 0.0]
+    c = [0.0, params.r_gamma_c * np.exp(1j * params.phi_gamma_c), params.r_beta_c, 0.0]
+    return AncillaSet(a=a, b=[1.0, 0.0, 0.0, 0.0], c=c, d=[0.0, 0.0, 0.0, 1.0])
 
 
 def constraint_residuals(ancillas, p, q):
@@ -279,9 +261,7 @@ def build_isometry(d, ancillas):
         exactly when the probe states violate the orthogonality
         conditions linking the kept and flipped branches.
     """
-    d = float(d)
-    if not (0.0 <= d <= 0.5):
-        raise DomainError(f"disturbance d={d} outside [0, 1/2]")
+    d = check_range(d, 0.0, 0.5, "disturbance d")
     keep = math.sqrt(1.0 - d)
     flip = math.sqrt(d)
     v = np.zeros((8, 2), dtype=complex)
@@ -370,9 +350,6 @@ def bob_symmetry_residual(iso, p, basis):
     states; zero means the two flip probabilities match, so Alice and
     Bob see a symmetric error channel in that basis.
     """
-    flips = []
-    for bit, joint in enumerate(_joint_states(iso, basis, p)):
-        bob = partial_trace_probe(joint)
-        other = protocol.pure_signal(basis, 1 - bit)
-        flips.append(float(np.real(np.vdot(other, bob @ other))))
-    return abs(flips[1] - flips[0])
+    bob0, bob1 = (partial_trace_probe(j) for j in _joint_states(iso, basis, p))
+    w0, w1 = protocol._bob_flips(bob0, bob1, basis)
+    return abs(w1 - w0)

@@ -8,6 +8,8 @@ consistency checks at one parameter point.
 Data goes to stdout or the ``--out`` file; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments or
 I/O failure, 3 crossing-search failure, 4 closed-form/grid mismatch.
+An internal invariant failure (`ConstraintError`, `DimensionError`) is
+not caught: Python prints its traceback and exits 1.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import operator
 import sys
 
 from . import analysis, attack, info, optimize, protocol
-from .exceptions import AmbiguousCrossingError, NoCrossingError
+from .exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
 
 CURVES_HEADER = "q,i_ab,i_ae_opt,i_ae_alt,i_ab_pure,i_ae_pure,beta_sq"
 CROSSING_HEADER = "p,q_cross,q_line,margin"
@@ -196,7 +198,7 @@ def main(argv=None):
     except (NoCrossingError, AmbiguousCrossingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

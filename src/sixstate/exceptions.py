@@ -19,7 +19,3 @@ class NoCrossingError(RuntimeError):
 
 class AmbiguousCrossingError(RuntimeError):
     """The pre-scan found more than one sign change."""
-
-
-class InfeasibleError(RuntimeError):
-    """No feasible point exists for the requested search."""

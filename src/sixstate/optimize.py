@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .attack import AttackParameters, overlap_target, parameters_from_squares
-from .exceptions import ConstraintError, DomainError, InfeasibleError
+from .exceptions import ConstraintError, DomainError
 from .info import _i_ae, _weights, beta_sq_optimal
 from .protocol import check_domain, check_range
 
@@ -39,6 +39,12 @@ _FEAS_SLACK = 1e-12
 # Residual cut separating true overlap-boundary roots from the spurious
 # roots introduced by squaring the boundary equation.
 _BOUNDARY_CUT = 1e-9
+# Largest lattice size per axis; grid_refine_maximize holds grid^2 points
+# and their arrays per round.
+_MAX_GRID = 2001
+# Samples and location tolerance of the arc scan in verify_root_pair.
+_PAIR_SAMPLES = 4001
+_PAIR_LOC_TOL = 1e-3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,29 +78,42 @@ class LagrangeResidual:
     degenerate: bool = False
 
 
+def _products(ba, bc):
+    """Products ``(pb, pg)`` of the beta and of the gamma radii; broadcasts."""
+    return np.sqrt(ba * bc), np.sqrt((1.0 - ba) * (1.0 - bc))
+
+
+def _feasible(t, pb, pg):
+    """Whether some phase meets overlap target t; broadcasts.
+
+    Tests ``pb - pg <= t <= pb + pg`` with an absolute slack of 1e-12.
+    """
+    return (t <= pb + pg + _FEAS_SLACK) & (t >= pb - pg - _FEAS_SLACK)
+
+
+def _phase_cos(t, pb, pg):
+    """Cosine ``(t - pb) / pg`` clamped to [-1, 1], or 1.0 if pg == 0 (scalars)."""
+    return 1.0 if pg == 0.0 else min(max(float((t - pb) / pg), -1.0), 1.0)
+
+
 def feasible_phase(r_beta_a_sq, r_beta_c_sq, p, q):
     """Cosine of the phase difference that meets the overlap condition.
 
     Solves ``pb + pg * cos = overlap_target(p, q)`` where pb and pg are
     the products of the beta and gamma radii.  Returns the cosine
-    clamped to [-1, 1] when a solution exists, and None otherwise.
-    When both gamma radii vanish the equation drops the cosine entirely;
-    a (conventional) 1.0 is returned iff it already holds.
+    clamped to [-1, 1] when the point passes the grid search's
+    feasibility test (`_feasible`), and None otherwise.  When both gamma
+    radii vanish the equation drops the cosine entirely; a
+    (conventional) 1.0 is returned iff it already holds.
     """
     p, q = check_domain(p, q)
     ba = check_range(r_beta_a_sq, 0.0, 1.0, "squared weight")
     bc = check_range(r_beta_c_sq, 0.0, 1.0, "squared weight")
     t = overlap_target(p, q)
-    pb = math.sqrt(ba * bc)
-    pg = math.sqrt((1.0 - ba) * (1.0 - bc))
-    if pg == 0.0:
-        if abs(pb - t) <= _FEAS_SLACK:
-            return 1.0
+    pb, pg = _products(ba, bc)
+    if not _feasible(t, pb, pg):
         return None
-    cos = (t - pb) / pg
-    if abs(cos) > 1.0 + _FEAS_SLACK:
-        return None
-    return min(max(cos, -1.0), 1.0)
+    return _phase_cos(t, pb, pg)
 
 
 def _objective(p, q, ba, bc):
@@ -126,8 +145,7 @@ def _boundary_candidates(t, axis_vals, lo, hi):
     keep = real & (u >= -1e-9) & (u <= 1.0 + 1e-9)
     c = np.clip(u, 0.0, 1.0) ** 2
     keep &= (lo - 1e-15 <= c) & (c <= hi + 1e-15)
-    pb = np.sqrt(a * c)
-    pg = np.sqrt((1.0 - a) * (1.0 - c))
+    pb, pg = _products(a, c)
     keep &= np.minimum(np.abs(pb + pg - t), np.abs(pb - pg - t)) <= _BOUNDARY_CUT
     return np.broadcast_to(a, c.shape)[keep], np.clip(c, lo, hi)[keep]
 
@@ -150,7 +168,7 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     p, q : float
         Noise weight and error rate.
     grid : int
-        Lattice points per axis, at least 51.
+        Lattice points per axis, 51 to 2001.
     refine_iters : int
         Number of refinement rounds.
 
@@ -160,8 +178,8 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     """
     p, q = check_domain(p, q)
     grid = int(grid)
-    if grid < 51:
-        raise DomainError(f"grid={grid} too coarse; need at least 51")
+    if not 51 <= grid <= _MAX_GRID:
+        raise DomainError(f"grid={grid} outside [51, {_MAX_GRID}]")
     refine_iters = int(refine_iters)
     if refine_iters < 0:
         raise DomainError(f"refine_iters={refine_iters} must be nonnegative")
@@ -172,7 +190,7 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     best_a = best_c = best_j = None
     evaluations = 0
 
-    for round_idx in range(refine_iters + 1):
+    for _ in range(refine_iters + 1):
         av = np.linspace(lo_a, hi_a, grid)
         cv = np.linspace(lo_c, hi_c, grid)
         aa, cc = np.meshgrid(av, cv, indexing="ij")
@@ -183,14 +201,11 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
         aa = np.concatenate([aa, ba_bound, ba_bound2])
         cc = np.concatenate([cc, bc_bound, bc_bound2])
 
-        pb = np.sqrt(aa * cc)
-        pg = np.sqrt((1.0 - aa) * (1.0 - cc))
-        feasible = (t <= pb + pg + _FEAS_SLACK) & (t >= pb - pg - _FEAS_SLACK)
+        # Round 0 always holds the feasible corner (0, 0), where pb = 0 and
+        # pg = 1, so only a refined window can come up empty.
+        pb, pg = _products(aa, cc)
+        feasible = _feasible(t, pb, pg)
         if not np.any(feasible):
-            if round_idx == 0:
-                raise InfeasibleError(
-                    f"no feasible attack point found for p={p}, q={q}"
-                )
             break
         fa = aa[feasible]
         fc = cc[feasible]
@@ -214,9 +229,7 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
         lo_c = max(0.0, best_c - span_c / 2.0)
         hi_c = min(1.0, best_c + span_c / 2.0)
 
-    pb = math.sqrt(best_a * best_c)
-    pg = math.sqrt((1.0 - best_a) * (1.0 - best_c))
-    cos = 1.0 if pg == 0.0 else min(max((t - pb) / pg, -1.0), 1.0)
+    cos = _phase_cos(t, *_products(best_a, best_c))
     params = parameters_from_squares(p, q, best_a, best_c, cos)
     branch = "phase0" if cos >= 0.0 else "phasepi"
     return OptimizationResult(
@@ -322,7 +335,8 @@ def phase_branch_scan(p, q, cos_sign, samples=2001):
     -------
     list of (beta_a_sq, beta_c_sq, value) array triples
         Two arcs for the +1 branch (mirror images under the
-        beta/gamma exchange), one for the -1 branch.
+        beta/gamma exchange, sharing one value array), one for the -1
+        branch.  All arrays are read-only.
     """
     p, q = check_domain(p, q)
     if cos_sign not in (1, -1, 1.0, -1.0):
@@ -332,20 +346,23 @@ def phase_branch_scan(p, q, cos_sign, samples=2001):
         raise DomainError(f"samples={samples} must be at least 2")
     t = overlap_target(p, q)
     theta = math.acos(min(max(t, -1.0), 1.0))
-    arcs = []
     if cos_sign > 0:
         # pb + pg = t  <=>  |alpha - chi| = theta.
         base = np.linspace(0.0, math.pi / 2.0 - theta, samples)
-        pairs = ((base + theta, base), (base, base + theta))
+        alpha, chi = base + theta, base
     else:
         # pb - pg = t  <=>  alpha + chi = theta.
         base = np.linspace(0.0, theta, samples)
-        pairs = ((base, theta - base),)
-    for alpha, chi in pairs:
-        ba = np.cos(alpha) ** 2
-        bc = np.cos(chi) ** 2
-        arcs.append((ba, bc, _objective(p, q, ba, bc)))
-    return arcs
+        alpha, chi = base, theta - base
+    ba = np.cos(alpha) ** 2
+    bc = np.cos(chi) ** 2
+    vals = _objective(p, q, ba, bc)
+    # The objective is symmetric in the two weights, so the mirror arc
+    # chi - alpha = theta of the +1 branch reuses the same values.  The
+    # arcs share their arrays, which are therefore read-only.
+    for arr in (ba, bc, vals):
+        arr.flags.writeable = False
+    return [(ba, bc, vals), (bc, ba, vals)] if cos_sign > 0 else [(ba, bc, vals)]
 
 
 def _local_max_runs(values):
@@ -362,27 +379,22 @@ def _local_max_runs(values):
     return starts[np.r_[True, rises] & np.r_[falls, True]]
 
 
-def verify_root_pair(p, q, samples=4001, loc_tol=1e-3, val_tol=1e-10):
+def verify_root_pair(p, q):
     """Check that the aligned-phase boundary has exactly two maxima.
 
-    Scans both arcs of the +1 branch and confirms the local maxima of
-    the information come as one mirror pair, located at the two
-    analytic stationary weights within loc_tol and equal in value
-    within val_tol.  Degenerate geometries where each arc collapses to
-    a point count as a coincident pair.
+    Scans one arc of the +1 branch (the other is its mirror image, with
+    the same values) and confirms it has exactly one local maximum of
+    the information, whose two weights sit at the two analytic
+    stationary weights within 1e-3.  Degenerate geometries where the
+    arc collapses to a point count as a coincident pair.
     """
     p, q = check_domain(p, q)
-    maxima = [
-        (float(ba[i]), float(vals[i]))
-        for ba, _, vals in phase_branch_scan(p, q, 1, samples=samples)
-        for i in _local_max_runs(vals)
-    ]
-    if len(maxima) != 2:
+    ba, bc, vals = phase_branch_scan(p, q, 1, samples=_PAIR_SAMPLES)[0]
+    maxima = _local_max_runs(vals)
+    if maxima.size != 1:
         return False
-    (ba1, v1), (ba2, v2) = maxima
-    if abs(v1 - v2) > val_tol:
-        return False
-    lo, hi = sorted((ba1, ba2))
+    i = maxima[0]
+    lo, hi = sorted((float(ba[i]), float(bc[i])))
     plus = beta_sq_optimal(p, q, "plus")
     minus = beta_sq_optimal(p, q, "minus")
-    return abs(hi - plus) <= loc_tol and abs(lo - minus) <= loc_tol
+    return abs(hi - plus) <= _PAIR_LOC_TOL and abs(lo - minus) <= _PAIR_LOC_TOL

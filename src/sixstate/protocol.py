@@ -100,6 +100,16 @@ def noisy_signal(basis, bit, p):
     return (1.0 - p) * np.outer(ket, ket.conj()) + (p / 2.0) * np.eye(2, dtype=complex)
 
 
+def _bob_flips(rho0, rho1, basis):
+    """Bob's two flip probabilities ``<1_b|rho0|1_b>`` and ``<0_b|rho1|0_b>``."""
+    _check_basis_bit(basis, 0)
+    k0 = _EIGENSTATES[(basis, 0)]
+    k1 = _EIGENSTATES[(basis, 1)]
+    wrong0 = float(np.real(k1.conj() @ np.asarray(rho0) @ k1))
+    wrong1 = float(np.real(k0.conj() @ np.asarray(rho1) @ k0))
+    return wrong0, wrong1
+
+
 def qber_from_bob_states(rho0, rho1, basis):
     """Probability that Bob decodes the wrong bit when measuring `basis`.
 
@@ -115,14 +125,8 @@ def qber_from_bob_states(rho0, rho1, basis):
     float
         The bit average of the two wrong-outcome probabilities.
     """
-    _check_basis_bit(basis, 0)
-    k0 = _EIGENSTATES[(basis, 0)]
-    k1 = _EIGENSTATES[(basis, 1)]
-    rho0 = np.asarray(rho0)
-    rho1 = np.asarray(rho1)
-    wrong0 = np.real(k1.conj() @ rho0 @ k1)
-    wrong1 = np.real(k0.conj() @ rho1 @ k0)
-    return float(0.5 * (wrong0 + wrong1))
+    wrong0, wrong1 = _bob_flips(rho0, rho1, basis)
+    return 0.5 * (wrong0 + wrong1)
 
 
 def qber_from_d(d, p):

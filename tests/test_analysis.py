@@ -153,6 +153,12 @@ class TestCrossingSweep:
         with pytest.raises(DomainError):
             crossing_sweep(0.0, 0.2, steps=1)
 
+    def test_round_off_outside_range_is_clamped(self):
+        # the same 1e-12 clamp as crossing_point
+        rows = crossing_sweep(-1e-13, 0.5 + 1e-13, steps=2)
+        assert [r.p for r in rows] == [0.0, 0.5]
+        assert rows[0] == crossing_point(-1e-13)
+
 
 class TestKeyFeasible:
     def test_reference_points(self):

@@ -73,6 +73,14 @@ def test_factories_satisfy_constraints():
         assert np.max(res) < 1e-12
 
 
+def test_antiphase_on_no_interaction_line():
+    # overlap_target rounds to 1 + 4.4e-16 at most p above ~0.834 on q = p/2
+    for p in np.linspace(0.0, 0.99, 1000).tolist():
+        antiphase_parameters(p, p / 2.0)
+    res = constraint_residuals(build_ancillas(antiphase_parameters(0.85, 0.425)), 0.85, 0.425)
+    assert np.max(res) <= 1e-10
+
+
 def test_antiphase_has_opposed_phases_and_equal_weights():
     params = antiphase_parameters(0.05, 0.2)
     assert params.cos_delta_phi == pytest.approx(-1.0)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sixstate import analysis, cli, info
-from sixstate.exceptions import NoCrossingError
+from sixstate import analysis, attack, cli, info
+from sixstate.exceptions import ConstraintError, NoCrossingError
 
 
 def read_csv(path):
@@ -164,6 +164,14 @@ class TestVerify:
     def test_half_error_rate_at_high_noise(self, capsys):
         assert cli.main(["verify", "--p", "0.9", "--q", "0.5"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_internal_error_is_not_an_argument_error(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ConstraintError("forced for the test")
+
+        monkeypatch.setattr(attack, "build_isometry", boom)
+        with pytest.raises(ConstraintError, match="forced for the test"):
+            cli.main(["verify", "--p", "0.05", "--q", "0.15"])
 
     def test_no_interaction_point_degenerate_stationarity(self, capsys):
         assert cli.main(["verify", "--p", "0.1", "--q", "0.05"]) == 0

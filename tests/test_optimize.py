@@ -13,6 +13,10 @@ from sixstate.optimize import (
     verify_root_pair,
 )
 
+# The search kernels broadcast over arrays; a numpy RuntimeWarning there
+# (a square root or arc cosine of a negative round-off) is a fault.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestFeasiblePhase:
     def test_no_interaction_needs_aligned_phase(self):
@@ -146,6 +150,22 @@ class TestPhaseBranchScan:
         (_, _, v1), (_, _, v2) = arcs
         assert np.array_equal(v1, v2)
 
+    @pytest.mark.parametrize("p", np.linspace(0.0, 0.99, 10).tolist())
+    def test_shared_values_equal_the_mirrored_objective(self, p):
+        # The mirror arc reuses the first arc's values; they must equal
+        # the objective evaluated afresh at the swapped weights.
+        for q in np.linspace(p / 2.0, 0.5, 10).tolist():
+            (ba, bc, vals), (ba2, bc2, vals2) = phase_branch_scan(p, q, 1, samples=201)
+            assert np.array_equal(ba2, bc) and np.array_equal(bc2, ba)
+            assert np.array_equal(vals, optimize._objective(p, q, ba, bc)), (p, q)
+            assert np.array_equal(vals2, optimize._objective(p, q, bc, ba)), (p, q)
+
+    def test_shared_arrays_are_read_only(self):
+        for sign in (1, -1):
+            for arr in phase_branch_scan(0.05, 0.2, sign, samples=11)[0]:
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
     def test_aligned_arcs_track_the_boundary(self):
         t = attack.overlap_target(0.05, 0.2)
         for ba, bc, _ in phase_branch_scan(0.05, 0.2, 1, samples=101):
@@ -233,7 +253,6 @@ def _local_max_runs_loop(values):
     return out
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestArrayGeometry:
     """The array search geometry equals its loop references bit for bit."""
 
