@@ -14,98 +14,13 @@ Library layout:
   checks, independent of the closed forms.
 - `sixstate.analysis` — curve sweeps and key-rate crossing studies.
 - `sixstate.cli` — the ``sixstate`` command-line tool.
+- `sixstate.exceptions` — the error types the modules raise.
+
+Import names from these submodules, e.g.
+``from sixstate.analysis import crossing_point``; the package
+namespace holds only the modules and ``__version__``.
 """
 
 from . import analysis, attack, info, linalg, optimize, protocol
-from .analysis import (
-    CrossingResult,
-    CurvePoint,
-    crossing_point,
-    crossing_sweep,
-    curve_sweep,
-    key_feasible,
-)
-from .attack import (
-    AncillaSet,
-    AttackParameters,
-    antiphase_parameters,
-    build_ancillas,
-    build_isometry,
-    eve_distribution_closed_form,
-    optimal_parameters,
-    overlap_target,
-    parameters_from_squares,
-    simulate_eve_distribution,
-    simulate_qber,
-)
-from .exceptions import (
-    AmbiguousCrossingError,
-    ConstraintError,
-    DimensionError,
-    DomainError,
-    NoCrossingError,
-)
-from .info import (
-    beta_sq_optimal,
-    i_ab,
-    i_ae_antiphase,
-    i_ae_general,
-    i_ae_optimal,
-    mutual_information,
-    tau,
-)
-from .optimize import (
-    LagrangeResidual,
-    OptimizationResult,
-    feasible_phase,
-    grid_refine_maximize,
-    lagrange_residual,
-    verify_root_pair,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "analysis",
-    "attack",
-    "info",
-    "linalg",
-    "optimize",
-    "protocol",
-    "AncillaSet",
-    "AttackParameters",
-    "CrossingResult",
-    "CurvePoint",
-    "LagrangeResidual",
-    "OptimizationResult",
-    "AmbiguousCrossingError",
-    "ConstraintError",
-    "DimensionError",
-    "DomainError",
-    "NoCrossingError",
-    "antiphase_parameters",
-    "beta_sq_optimal",
-    "build_ancillas",
-    "build_isometry",
-    "crossing_point",
-    "crossing_sweep",
-    "curve_sweep",
-    "eve_distribution_closed_form",
-    "feasible_phase",
-    "grid_refine_maximize",
-    "i_ab",
-    "i_ae_antiphase",
-    "i_ae_general",
-    "i_ae_optimal",
-    "key_feasible",
-    "lagrange_residual",
-    "mutual_information",
-    "optimal_parameters",
-    "overlap_target",
-    "parameters_from_squares",
-    "simulate_eve_distribution",
-    "simulate_qber",
-    "tau",
-    "verify_root_pair",
-    "__version__",
-]

@@ -90,9 +90,7 @@ def curve_sweep(p, steps=200):
     list of CurvePoint
     """
     p, _ = check_domain(p, p / 2.0)
-    steps = int(steps)
-    if not 2 <= steps <= _MAX_CURVE_STEPS:
-        raise DomainError(f"steps={steps} outside [2, {_MAX_CURVE_STEPS}]")
+    steps = int(check_range(steps, 2, _MAX_CURVE_STEPS, "steps"))
     qs = np.linspace(p / 2.0, 0.5, steps)
     i_ab = _i_ab(qs).tolist()
     columns = zip(
@@ -146,18 +144,16 @@ def crossing_point(p, tol=1e-9):
         raise DomainError(f"tol={tol} must be positive")
     lo = p / 2.0 + _EDGE
     hi = 0.5 - _EDGE
-    f_lo = _advantage(p, lo)
-    f_hi = _advantage(p, hi)
-    if not (f_lo > 0.0 and f_hi < 0.0):
+    # linspace holds both ends exactly, so the scan also gives f(lo), f(hi).
+    scan = _advantage(p, np.linspace(lo, hi, 1000))
+    if not (scan[0] > 0.0 and scan[-1] < 0.0):
         raise NoCrossingError(
             f"advantage does not change sign on [{lo}, {hi}]: "
-            f"f(lo)={f_lo}, f(hi)={f_hi}"
+            f"f(lo)={scan[0]}, f(hi)={scan[-1]}"
         )
-    signs = np.sign(_advantage(p, np.linspace(lo, hi, 1000)))
-    signs = signs[signs != 0.0]
-    changes = int(np.count_nonzero(np.diff(signs)))
-    if changes == 0:
-        raise NoCrossingError(f"pre-scan found no sign change for p={p}")
+    signs = np.sign(scan)
+    # Both ends have opposite nonzero signs, so there is at least one change.
+    changes = int(np.count_nonzero(np.diff(signs[signs != 0.0])))
     if changes > 1:
         raise AmbiguousCrossingError(
             f"pre-scan found {changes} sign changes for p={p}"
@@ -189,9 +185,7 @@ def crossing_sweep(p_min, p_max, steps=21, tol=1e-9):
     point p_min (p_max must then equal p_min); otherwise p_min < p_max
     is required.
     """
-    steps = int(steps)
-    if not 1 <= steps <= _MAX_CROSSING_STEPS:
-        raise DomainError(f"steps={steps} outside [1, {_MAX_CROSSING_STEPS}]")
+    steps = int(check_range(steps, 1, _MAX_CROSSING_STEPS, "steps"))
     p_min = check_range(p_min, 0.0, 0.5, "noise parameter p_min")
     p_max = check_range(p_max, p_min, 0.5, "noise parameter p_max")
     if steps == 1:

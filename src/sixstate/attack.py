@@ -179,7 +179,7 @@ def parameters_from_squares(p, q, beta_a_sq, beta_c_sq, cos_dphi):
     )
 
 
-def optimal_parameters(p, q, branch="plus"):
+def optimal_parameters(p, q):
     """Parameters of the information-maximizing attack at (p, q).
 
     Aligned phases (cos of the difference = +1) with the stationary
@@ -187,17 +187,13 @@ def optimal_parameters(p, q, branch="plus"):
     ``cos^2 theta`` with ``2 theta = atan2(t, root)``, where
     ``t = overlap_target(p, q)`` and root is that formula's square-root
     term (``t^2 + root^2 = 1``).  The radii are ``r_beta_a = r_gamma_c =
-    cos theta`` and ``r_gamma_a = r_beta_c = sin theta``; "minus" swaps
-    the two.  The overlap condition ``sin 2 theta = t`` then holds to
-    round-off even where the weight itself rounds to 1.
+    cos theta`` and ``r_gamma_a = r_beta_c = sin theta``.  The overlap
+    condition ``sin 2 theta = t`` then holds to round-off even where the
+    weight itself rounds to 1.
     """
     p, q = check_domain(p, q)
-    if branch not in ("plus", "minus"):
-        raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
     theta = 0.5 * math.atan2(overlap_target(p, q), float(_root(p, q)))
     big, small = math.cos(theta), math.sin(theta)
-    if branch == "minus":
-        big, small = small, big
     return AttackParameters(
         p=p,
         q=q,
@@ -269,7 +265,7 @@ def build_isometry(d, ancillas):
     v[4:8, 0] = flip * ancillas.b
     v[4:8, 1] = keep * ancillas.c
     v[0:4, 1] = flip * ancillas.d
-    if not is_isometry(v, tol=_NORM_TOL):
+    if not is_isometry(v):
         raise ConstraintError(
             "columns are not isometric: probe states violate the "
             "kept/flipped orthogonality conditions"

@@ -13,6 +13,7 @@ not caught: Python prints its traceback and exits 1.
 """
 
 import argparse
+import math
 import operator
 import sys
 
@@ -61,6 +62,7 @@ def cmd_crossing(args):
 
 def cmd_optimize(args):
     p, q = args.p, args.q
+    tol = protocol.check_range(args.tol, 0.0, math.inf, "tol")
     closed = info.i_ae_optimal(p, q)
     result = optimize.grid_refine_maximize(p, q, grid=args.grid, refine_iters=args.refine)
     diff = abs(closed - result.best_value)
@@ -88,9 +90,9 @@ def cmd_optimize(args):
             for v in (p, q, closed, result.best_value, diff, plus, minus, alt, lr.residual_norm)
         )
         _write_lines(args.out, [OPTIMIZE_HEADER, row])
-    if diff > args.tol:
+    if diff > tol:
         print(
-            f"mismatch: |closed - grid| = {_fmt(diff)} exceeds tol {_fmt(args.tol)}",
+            f"mismatch: |closed - grid| = {_fmt(diff)} exceeds tol {_fmt(tol)}",
             file=sys.stderr,
         )
         return 4

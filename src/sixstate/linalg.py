@@ -48,21 +48,19 @@ def partial_trace_signal(rho):
     return np.einsum("ikil->kl", _as_joint_operator(rho))
 
 
-def is_isometry(v, tol=1e-10):
+def is_isometry(v):
     """Whether v maps its domain isometrically, i.e. adjoint(v) @ v = 1.
 
     Parameters
     ----------
     v : array-like
-        A 2-d array with at least as many rows as columns.
-    tol : float
-        Largest tolerated entrywise deviation of the Gram matrix from
-        the identity.
+        A 2-d array with at least as many rows as columns.  The Gram
+        matrix may deviate from the identity by 1e-10 entrywise.
     """
     v = np.asarray(v)
     if v.ndim != 2 or v.shape[0] < v.shape[1]:
         raise DimensionError(
             f"an isometry needs rows >= cols, got shape {v.shape}")
     gram = adjoint(v) @ v
-    return bool(np.max(np.abs(gram - np.eye(v.shape[1]))) <= tol)
+    return bool(np.max(np.abs(gram - np.eye(v.shape[1]))) <= 1e-10)
 

@@ -55,9 +55,13 @@ def check_range(x, lo, hi, what):
     Raises
     ------
     DomainError
-        If x is NaN or lies outside [lo, hi] by more than 1e-12.
+        If x is NaN or lies outside [lo, hi] by more than 1e-12, or is an
+        integer beyond the float range.
     """
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:
+        raise DomainError(f"{what} outside [{lo}, {hi}]") from None
     if not lo - _TOL <= x <= hi + _TOL:
         raise DomainError(f"{what}={x} outside [{lo}, {hi}]")
     return min(max(x, lo), hi)

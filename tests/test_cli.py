@@ -143,6 +143,14 @@ class TestOptimize:
         assert cli.main(["optimize", "--p", "0.05", "--q", "0.01"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option", [["--refine", "31"], ["--tol", "nan"], ["--tol", "-1"]],
+        ids=["refine_above_bound", "tol_nan", "tol_negative"],
+    )
+    def test_invalid_option_exit_code(self, option, capsys):
+        assert cli.main(["optimize", "--p", "0.05", "--q", "0.1", "--grid", "51", *option]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):

@@ -1,11 +1,14 @@
-"""Whole-domain properties of the (p, q) domain and of the size bounds.
+"""Whole-domain properties of the (p, q) domain and of the count bounds.
 
 Every check holds on the lattice ``p = linspace(0, 0.99, 10)`` and, for
-each p, ``q = linspace(p/2, 1/2, 10)``, both q endpoints included.
-Noise raises the threshold over the whole crossing domain, and sizes
-above the memory bounds are refused before anything is allocated.
+each p, ``q = linspace(p/2, 1/2, 10)``, both q endpoints included, and
+on seeded uniform random points of the domain.  Noise raises the
+threshold over the whole crossing domain.  Every count is refused when
+it lies above its bound, before anything is allocated, and when it is
+NaN, infinite or beyond the float range.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,10 +18,24 @@ from sixstate import analysis, attack, cli, info, optimize
 from sixstate.exceptions import DomainError
 
 
+_LATTICE_P = np.linspace(0.0, 0.99, 10).tolist()
+
+
+def _random_points(n, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.0, 0.99, n)
+    return list(zip(p.tolist(), rng.uniform(p / 2.0, 0.5).tolist()))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("p", np.linspace(0.0, 0.99, 10).tolist())
-def test_all_checks_hold(p, capsys):
-    for q in np.linspace(p / 2.0, 0.5, 10).tolist():
+@pytest.mark.parametrize(
+    "points",
+    [[(p, q) for q in np.linspace(p / 2.0, 0.5, 10).tolist()] for p in _LATTICE_P]
+    + [_random_points(10, seed=2008)],
+    ids=[str(p) for p in _LATTICE_P] + ["random"],
+)
+def test_all_checks_hold(points, capsys):
+    for p, q in points:
         assert cli.main(["verify", "--p", repr(p), "--q", repr(q)]) == 0, (p, q)
         assert "FAIL" not in capsys.readouterr().out
         grid = optimize.grid_refine_maximize(p, q).best_value
@@ -39,21 +56,34 @@ def test_noise_raises_the_threshold():
     assert all(a < b for a, b in zip(q_cross, q_cross[1:]))
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: optimize.grid_refine_maximize(0.05, 0.1, grid=2002),
-        lambda: analysis.curve_sweep(0.05, steps=100_001),
-        lambda: analysis.crossing_sweep(0.0, 0.5, steps=10_001),
-    ],
-    ids=["grid", "curve_steps", "crossing_steps"],
-)
-def test_size_bound_refused_before_allocating(call):
+# Each count: a call taking it, and its largest accepted value.
+_COUNTS = {
+    "grid": (lambda n: optimize.grid_refine_maximize(0.05, 0.1, grid=n), 2001),
+    "refine_iters": (
+        lambda n: optimize.grid_refine_maximize(0.05, 0.1, refine_iters=n), 30),
+    "samples": (lambda n: optimize.phase_branch_scan(0.05, 0.1, 1, samples=n), 100_001),
+    "curve_steps": (lambda n: analysis.curve_sweep(0.05, steps=n), 100_000),
+    "crossing_steps": (lambda n: analysis.crossing_sweep(0.0, 0.5, steps=n), 10_000),
+}
+
+
+@pytest.mark.parametrize("count", list(_COUNTS))
+def test_size_bound_refused_before_allocating(count):
+    call, bound = _COUNTS[count]
     tracemalloc.start()
     try:
         with pytest.raises(DomainError):
-            call()
+            call(bound + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64_000
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("count", list(_COUNTS))
+def test_count_not_finite_refused(count, value):
+    call, _ = _COUNTS[count]
+    with pytest.raises(DomainError):
+        call(value)
