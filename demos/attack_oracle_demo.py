@@ -49,8 +49,9 @@ print(f"  max |closed - simulated| = {np.max(np.abs(closed - sim)):.2e}")
 print()
 print("What Bob observes:")
 for basis in protocol.BASES:
-    rate = attack.simulate_qber(iso, P, basis)
-    sym = attack.bob_symmetry_residual(iso, P, basis)
+    w0, w1 = attack.simulate_bob_flips(iso, P, basis)
+    rate = 0.5 * (w0 + w1)
+    sym = abs(w1 - w0)
     print(f"  basis {basis}: error rate {rate:.12f}, symmetry residual {sym:.2e}")
 print("Same rate in every basis and symmetric errors: the attack mimics")
 print("an ordinary depolarizing channel, so protocol statistics cannot")

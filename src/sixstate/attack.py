@@ -37,8 +37,7 @@ __all__ = [
     "build_isometry",
     "eve_distribution_closed_form",
     "simulate_eve_distribution",
-    "simulate_qber",
-    "bob_symmetry_residual",
+    "simulate_bob_flips",
 ]
 
 _NORM_TOL = 1e-10
@@ -329,23 +328,14 @@ def simulate_eve_distribution(iso, p):
     return np.array(out)
 
 
-def simulate_qber(iso, p, basis):
-    """Bob's error rate in a basis, under the attack, at noise p.
+def simulate_bob_flips(iso, p, basis):
+    """Bob's two flip probabilities in a basis, under the attack, at noise p.
 
-    Sends both noisy basis states through the isometry, reduces to
-    Bob's qubit, and scores the misidentification probability.
+    Sends both noisy basis states through the isometry, reduces to Bob's
+    qubit, and returns ``(w0, w1)``: the probabilities that Bob reads
+    bit 0 as 1 and bit 1 as 0.  Their mean is Bob's error rate, and
+    ``|w1 - w0|`` is zero when Alice and Bob see a symmetric error
+    channel in that basis.
     """
     bob0, bob1 = (partial_trace_probe(j) for j in _joint_states(iso, basis, p))
-    return protocol.qber_from_bob_states(bob0, bob1, basis)
-
-
-def bob_symmetry_residual(iso, p, basis):
-    """How unevenly the attack flips the two basis states.
-
-    ``|<0_b| rho_1 |0_b> - <1_b| rho_0 |1_b>|`` for Bob's reduced
-    states; zero means the two flip probabilities match, so Alice and
-    Bob see a symmetric error channel in that basis.
-    """
-    bob0, bob1 = (partial_trace_probe(j) for j in _joint_states(iso, basis, p))
-    w0, w1 = protocol._bob_flips(bob0, bob1, basis)
-    return abs(w1 - w0)
+    return protocol._bob_flips(bob0, bob1, basis)

@@ -117,10 +117,11 @@ def cmd_verify(args):
     dist_err = float(max(abs(closed - sim)))
     checks.append(("outcome distribution", dist_err <= 1e-12, f"max diff {dist_err:.3e}"))
 
-    qber_err = max(abs(attack.simulate_qber(iso, p, b) - q) for b in protocol.BASES)
+    flips = [attack.simulate_bob_flips(iso, p, b) for b in protocol.BASES]
+    qber_err = max(abs(0.5 * (w0 + w1) - q) for w0, w1 in flips)
     checks.append(("error rate all bases", qber_err <= 1e-10, f"max diff {qber_err:.3e}"))
 
-    sym_err = max(attack.bob_symmetry_residual(iso, p, b) for b in protocol.BASES)
+    sym_err = max(abs(w1 - w0) for w0, w1 in flips)
     checks.append(("bob symmetry", sym_err <= 1e-12, f"max residual {sym_err:.3e}"))
 
     opt = info.i_ae_optimal(p, q)

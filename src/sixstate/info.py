@@ -21,14 +21,12 @@ from .exceptions import DomainError
 from .protocol import check_domain, check_range
 
 __all__ = [
-    "tau",
     "mutual_information",
     "i_ab",
     "beta_sq_optimal",
     "i_ae_closed_form",
     "i_ae_optimal",
     "i_ae_antiphase",
-    "i_ae_general",
 ]
 
 # Negative values closer to zero than this are treated as round-off.
@@ -41,18 +39,8 @@ def _xlog2(x):
 
 
 def _tau(x, y):
+    """x log2 x + y log2 y - (x + y) log2 (x + y); broadcasts, checks nothing."""
     return _xlog2(x) + _xlog2(y) - _xlog2(x + y)
-
-
-def tau(x, y):
-    """x log2 x + y log2 y - (x + y) log2 (x + y).
-
-    The building block of the eavesdropper information formulas.  Inputs
-    must be nonnegative; values in [-1e-12, 0) clamp to zero.
-    """
-    x = check_range(x, 0.0, np.inf, "tau argument")
-    y = check_range(y, 0.0, np.inf, "tau argument")
-    return float(_tau(x, y))
 
 
 def _weights(p, q, ba, bc, ga, gc):
@@ -76,7 +64,7 @@ def _weights(p, q, ba, bc, ga, gc):
 def _i_ae(p, q, ba, bc, ga, gc):
     """Eve's information for squared probe weights; broadcasts, checks nothing.
 
-    ``1 + (pref / 2) (tau_beta + tau_gamma) + d tau(1 - p/2, p/2)`` over
+    ``1 + (pref / 2) (_tau(*beta) + _tau(*gamma)) + d _tau(1 - p/2, p/2)`` over
     the weights of `_weights`.
     """
     d, pref, beta, gamma = _weights(p, q, ba, bc, ga, gc)
@@ -213,31 +201,3 @@ def i_ae_antiphase(p, q):
     """
     p, q = check_domain(p, q)
     return float(_i_ae_antiphase(p, q))
-
-
-def i_ae_general(params):
-    """Eve's information for arbitrary probe parameters.
-
-    Parameters
-    ----------
-    params : AttackParameters
-        Any parameter point; only the four squared magnitudes enter, so
-        the value is independent of the phases.
-
-    Returns
-    -------
-    float
-        The tau-form expression over Eve's outcome probabilities.  It
-        agrees with `mutual_information` applied to the joint table that
-        pairs Alice's uniform bit with Eve's four outcomes.
-    """
-    return float(
-        _i_ae(
-            params.p,
-            params.q,
-            params.r_beta_a ** 2,
-            params.r_beta_c ** 2,
-            params.r_gamma_a ** 2,
-            params.r_gamma_c ** 2,
-        )
-    )

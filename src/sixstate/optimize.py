@@ -332,10 +332,10 @@ def phase_branch_scan(p, q, cos_sign, samples=2001):
 
     Returns
     -------
-    list of (beta_a_sq, beta_c_sq, value) array triples
-        Two arcs for the +1 branch (mirror images under the
-        beta/gamma exchange, sharing one value array), one for the -1
-        branch.  All arrays are read-only.
+    (beta_a_sq, beta_c_sq, value) tuple of arrays
+        One arc.  The +1 branch also holds the mirror arc with the two
+        weights exchanged; the objective is symmetric in them, so that
+        arc carries the same values and is not returned.
     """
     p, q = check_domain(p, q)
     if cos_sign not in (1, -1, 1.0, -1.0):
@@ -353,13 +353,7 @@ def phase_branch_scan(p, q, cos_sign, samples=2001):
         alpha, chi = base, theta - base
     ba = np.cos(alpha) ** 2
     bc = np.cos(chi) ** 2
-    vals = _objective(p, q, ba, bc)
-    # The objective is symmetric in the two weights, so the mirror arc
-    # chi - alpha = theta of the +1 branch reuses the same values.  The
-    # arcs share their arrays, which are therefore read-only.
-    for arr in (ba, bc, vals):
-        arr.flags.writeable = False
-    return [(ba, bc, vals), (bc, ba, vals)] if cos_sign > 0 else [(ba, bc, vals)]
+    return ba, bc, _objective(p, q, ba, bc)
 
 
 def _local_max_runs(values):
@@ -386,7 +380,7 @@ def verify_root_pair(p, q):
     arc collapses to a point count as a coincident pair.
     """
     p, q = check_domain(p, q)
-    ba, bc, vals = phase_branch_scan(p, q, 1, samples=_PAIR_SAMPLES)[0]
+    ba, bc, vals = phase_branch_scan(p, q, 1, samples=_PAIR_SAMPLES)
     maxima = _local_max_runs(vals)
     if maxima.size != 1:
         return False

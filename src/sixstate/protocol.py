@@ -20,8 +20,6 @@ __all__ = [
     "check_domain",
     "pure_signal",
     "noisy_signal",
-    "qber_from_bob_states",
-    "qber_from_d",
     "d_from_qber",
 ]
 
@@ -49,6 +47,14 @@ def _check_basis_bit(basis, bit):
         raise DomainError(f"bit must be 0 or 1, got {bit!r}")
 
 
+def _float(x, what):
+    """float(x), refusing an integer beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{what} is beyond the float range") from None
+
+
 def check_range(x, lo, hi, what):
     """x as a float in [lo, hi], with round-off up to 1e-12 outside clamped.
 
@@ -58,10 +64,7 @@ def check_range(x, lo, hi, what):
         If x is NaN or lies outside [lo, hi] by more than 1e-12, or is an
         integer beyond the float range.
     """
-    try:
-        x = float(x)
-    except OverflowError:
-        raise DomainError(f"{what} outside [{lo}, {hi}]") from None
+    x = _float(x, what)
     if not lo - _TOL <= x <= hi + _TOL:
         raise DomainError(f"{what}={x} outside [{lo}, {hi}]")
     return min(max(x, lo), hi)
@@ -76,9 +79,9 @@ def check_domain(p, q):
     ------
     DomainError
         If p is outside [0, 1) or q outside [p/2, 1/2] by more than
-        1e-12.
+        1e-12, or either is NaN or an integer beyond the float range.
     """
-    p = float(p)
+    p = _float(p, "noise parameter p")
     if not 0.0 <= p < 1.0:
         raise DomainError(f"noise parameter p={p} outside [0, 1)")
     return p, check_range(q, p / 2.0, 0.5, "error rate q")
@@ -114,33 +117,7 @@ def _bob_flips(rho0, rho1, basis):
     return wrong0, wrong1
 
 
-def qber_from_bob_states(rho0, rho1, basis):
-    """Probability that Bob decodes the wrong bit when measuring `basis`.
-
-    Parameters
-    ----------
-    rho0, rho1 : array-like
-        Bob's 2 x 2 reduced states given that Alice sent bit 0 and bit 1.
-    basis : str
-        One of "x", "y", "z".
-
-    Returns
-    -------
-    float
-        The bit average of the two wrong-outcome probabilities.
-    """
-    wrong0, wrong1 = _bob_flips(rho0, rho1, basis)
-    return 0.5 * (wrong0 + wrong1)
-
-
-def qber_from_d(d, p):
-    """Bob's error rate ``d (1 - p) + p / 2`` for flip probability d."""
-    p, _ = check_domain(p, p / 2.0)
-    d = check_range(d, 0.0, 0.5, "flip probability d")
-    return d * (1.0 - p) + p / 2.0
-
-
 def d_from_qber(q, p):
-    """Flip probability ``(q - p/2) / (1 - p)``, inverse of qber_from_d."""
+    """Flip probability ``(q - p/2) / (1 - p)``, inverse of ``q = d (1 - p) + p/2``."""
     p, q = check_domain(p, q)
     return (q - p / 2.0) / (1.0 - p)

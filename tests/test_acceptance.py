@@ -83,7 +83,8 @@ def test_acceptance_4_oracle_equivalence():
         sim = attack.simulate_eve_distribution(iso, p)
         worst_m = max(worst_m, float(np.max(np.abs(closed - sim))))
         for basis in protocol.BASES:
-            worst_q = max(worst_q, abs(attack.simulate_qber(iso, p, basis) - q))
+            w0, w1 = attack.simulate_bob_flips(iso, p, basis)
+            worst_q = max(worst_q, abs(0.5 * (w0 + w1) - q))
     elapsed = time.perf_counter() - start
     ok = worst_m <= 1e-12 and worst_q <= 1e-10
     _report(4, f"simulated vs closed-form outcomes {worst_m:.2e} (tol 1e-12), "

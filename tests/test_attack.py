@@ -8,7 +8,6 @@ from sixstate.attack import (
     AncillaSet,
     AttackParameters,
     antiphase_parameters,
-    bob_symmetry_residual,
     build_ancillas,
     build_isometry,
     constraint_residuals,
@@ -16,8 +15,8 @@ from sixstate.attack import (
     optimal_parameters,
     overlap_target,
     parameters_from_squares,
+    simulate_bob_flips,
     simulate_eve_distribution,
-    simulate_qber,
 )
 from sixstate.exceptions import ConstraintError, DomainError
 from sixstate.linalg import is_isometry
@@ -33,6 +32,16 @@ ORACLE_GRID = [
 def isometry_for(params):
     d = protocol.d_from_qber(params.q, params.p)
     return build_isometry(d, build_ancillas(params))
+
+
+def simulated_qber(iso, p, basis):
+    w0, w1 = simulate_bob_flips(iso, p, basis)
+    return 0.5 * (w0 + w1)
+
+
+def symmetry_residual(iso, p, basis):
+    w0, w1 = simulate_bob_flips(iso, p, basis)
+    return abs(w1 - w0)
 
 
 class TestAttackParameters:
@@ -224,25 +233,24 @@ class TestSimulateQber:
         e = np.eye(4, dtype=complex)
         anc = AncillaSet(a=e[1], b=e[0], c=e[1], d=e[3])
         iso = build_isometry(0.0, anc)
-        assert simulate_qber(iso, 0.1, basis) == pytest.approx(0.05)
+        assert simulated_qber(iso, 0.1, basis) == pytest.approx(0.05)
 
     @pytest.mark.parametrize("basis", protocol.BASES)
     def test_reference_point(self, basis):
-        p, d = 0.1, 0.2
-        q = protocol.qber_from_d(d, p)
-        assert q == pytest.approx(0.23)
+        p, q = 0.1, 0.23
+        assert protocol.d_from_qber(q, p) == pytest.approx(0.2)
         iso = isometry_for(optimal_parameters(p, q))
-        assert simulate_qber(iso, p, basis) == pytest.approx(0.23, abs=1e-12)
+        assert simulated_qber(iso, p, basis) == pytest.approx(0.23, abs=1e-12)
 
     def test_half_disturbance_z(self):
         params = antiphase_parameters(0.0, 0.5)
         iso = isometry_for(params)
-        assert simulate_qber(iso, 0.0, "z") == pytest.approx(0.5)
+        assert simulated_qber(iso, 0.0, "z") == pytest.approx(0.5)
 
     @pytest.mark.parametrize("p,q", ORACLE_GRID)
     def test_basis_independence(self, p, q):
         iso = isometry_for(optimal_parameters(p, q))
-        rates = [simulate_qber(iso, p, b) for b in protocol.BASES]
+        rates = [simulated_qber(iso, p, b) for b in protocol.BASES]
         assert max(rates) - min(rates) < 1e-10
         assert rates[0] == pytest.approx(q, abs=1e-10)
 
@@ -252,13 +260,13 @@ class TestBobSymmetry:
     def test_constrained_attack_symmetric(self, p, q):
         iso = isometry_for(optimal_parameters(p, q))
         for basis in protocol.BASES:
-            assert bob_symmetry_residual(iso, p, basis) < 1e-12
+            assert symmetry_residual(iso, p, basis) < 1e-12
 
     def test_identity_attack_symmetric(self):
         e = np.eye(4, dtype=complex)
         anc = AncillaSet(a=e[1], b=e[0], c=e[1], d=e[3])
         iso = build_isometry(0.0, anc)
-        assert bob_symmetry_residual(iso, 0.0, "z") == pytest.approx(0.0, abs=1e-15)
+        assert symmetry_residual(iso, 0.0, "z") == pytest.approx(0.0, abs=1e-15)
 
     def test_lopsided_attack_detected(self):
         # flip amplitude applied to one column only: Bob's errors become
@@ -269,4 +277,4 @@ class TestBobSymmetry:
         v[4, 0] = math.sqrt(d)      # flip |0> -> |1>, probe |00>
         v[6, 1] = 1.0               # keep |1> always, probe |10>
         assert is_isometry(v)
-        assert bob_symmetry_residual(v, 0.0, "z") > 0.1
+        assert symmetry_residual(v, 0.0, "z") > 0.1

@@ -5,7 +5,8 @@ each p, ``q = linspace(p/2, 1/2, 10)``, both q endpoints included, and
 on seeded uniform random points of the domain.  Noise raises the
 threshold over the whole crossing domain.  Every count is refused when
 it lies above its bound, before anything is allocated, and when it is
-NaN, infinite or beyond the float range.
+NaN, infinite or beyond the float range; so is a noise weight beyond the
+float range.
 """
 
 import math
@@ -14,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sixstate import analysis, attack, cli, info, optimize
+from sixstate import analysis, attack, cli, info, optimize, protocol
 from sixstate.exceptions import DomainError
 
 
@@ -87,3 +88,10 @@ def test_count_not_finite_refused(count, value):
     call, _ = _COUNTS[count]
     with pytest.raises(DomainError):
         call(value)
+
+
+@pytest.mark.parametrize("call", [protocol.check_domain, info.i_ae_optimal],
+                         ids=["check_domain", "i_ae_optimal"])
+def test_noise_beyond_float_range_refused(call):
+    with pytest.raises(DomainError):
+        call(10 ** 400, 0.1)

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
+from sixstate import protocol
 from sixstate.exceptions import DomainError
-from sixstate.protocol import (
-    BASES,
-    d_from_qber,
-    noisy_signal,
-    pure_signal,
-    qber_from_bob_states,
-    qber_from_d,
-)
+from sixstate.protocol import BASES, d_from_qber, noisy_signal, pure_signal
 
 
 def test_bases_tuple():
@@ -73,26 +67,16 @@ def test_qber_of_undisturbed_noisy_states(basis, p):
     # without any attack the only errors come from the source noise
     rho0 = noisy_signal(basis, 0, p)
     rho1 = noisy_signal(basis, 1, p)
-    assert qber_from_bob_states(rho0, rho1, basis) == pytest.approx(p / 2)
-
-
-def test_qber_from_d_formula():
-    assert qber_from_d(0.2, 0.1) == pytest.approx(0.2 * 0.9 + 0.05)
-    assert qber_from_d(0.0, 0.0) == 0.0
-    assert qber_from_d(0.5, 0.0) == 0.5
+    w0, w1 = protocol._bob_flips(rho0, rho1, basis)
+    assert w0 == pytest.approx(p / 2)
+    assert w1 == pytest.approx(p / 2)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.2])
 @pytest.mark.parametrize("d", [0.0, 0.1, 0.33, 0.5])
 def test_qber_d_roundtrip(p, d):
-    assert d_from_qber(qber_from_d(d, p), p) == pytest.approx(d, abs=1e-12)
-
-
-def test_qber_from_d_domain():
-    with pytest.raises(DomainError):
-        qber_from_d(0.6, 0.0)
-    with pytest.raises(DomainError):
-        qber_from_d(-0.01, 0.0)
+    # Bob's error rate at flip probability d is d (1 - p) + p/2.
+    assert d_from_qber(d * (1 - p) + p / 2, p) == pytest.approx(d, abs=1e-12)
 
 
 def test_d_from_qber_domain():
