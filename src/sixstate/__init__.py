@@ -2,12 +2,11 @@
 
 Library layout:
 
-- `sixstate.linalg` — small dense linear-algebra helpers (adjoints,
-  partial traces, isometry checks).
 - `sixstate.protocol` — six-state signal states with source noise,
   error-rate bookkeeping and the `(p, q)` domain check.
 - `sixstate.attack` — the constrained probe family, its isometry, and
-  Eve's outcome distribution (closed form and simulated).
+  Eve's outcome distribution (closed form and simulated by partial
+  traces over the signal-probe space).
 - `sixstate.info` — the information quantities and their closed-form
   optima.
 - `sixstate.optimize` — brute-force maximization and stationarity
@@ -21,6 +20,6 @@ Import names from these submodules, e.g.
 namespace holds only the modules and ``__version__``.
 """
 
-from . import analysis, attack, info, linalg, optimize, protocol
+from . import analysis, attack, info, optimize, protocol
 
 __version__ = "0.1.0"

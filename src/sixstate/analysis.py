@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
-from .info import _i_ab, _i_ae_antiphase, _i_ae_optimal, _root
-from .protocol import check_domain, check_range
+from .info import _beta_sq, _i_ab, _i_ae_antiphase, _i_ae_optimal
+from .protocol import _float, check_domain, check_range
 
 __all__ = [
     "PURE_CROSSING_D",
@@ -100,7 +100,7 @@ def curve_sweep(p, steps=200):
         _i_ae_antiphase(p, qs).tolist(),
         i_ab,
         _i_ae_optimal(0.0, qs).tolist(),
-        ((1.0 + _root(p, qs)) / 2.0).tolist(),
+        _beta_sq(p, qs, 1.0).tolist(),
     )
     return [CurvePoint(*row) for row in columns]
 
@@ -139,7 +139,7 @@ def crossing_point(p, tol=1e-9):
         If the pre-scan sees more than one sign change.
     """
     p = check_range(p, 0.0, 0.5, "noise parameter p")
-    tol = float(tol)
+    tol = _float(tol, "tol")
     if not tol > 0.0:
         raise DomainError(f"tol={tol} must be positive")
     lo = p / 2.0 + _EDGE

@@ -2,16 +2,18 @@
 
 Eve attaches a two-qubit probe to each transmitted signal.  The attack
 family is parameterized by `AttackParameters`: four nonnegative radii
-and two phases describing the probe states paired with the kept and
-flipped signal, under the normalization that each radius pair squares
-to 1.  From these, the module builds the probe states, assembles the
-8x2 interaction isometry, and produces Eve's outcome distribution both
-in closed form and by direct density-matrix simulation (the latter acts
-as an independent oracle for the former).
+describing the probe states paired with the kept and flipped signal,
+under the normalization that each radius pair squares to 1, and the
+phase difference between those two states.  From these, the module
+builds the probe states, assembles the 8x2 interaction isometry, and
+produces Eve's outcome distribution both in closed form and by direct
+density-matrix simulation (the latter acts as an independent oracle for
+the former).
 
-Probe basis ordering is |00>, |01>, |10>, |11> (index = 2*left + right);
-joint signal-probe vectors use index = 4*signal + probe as in
-`sixstate.linalg`.
+This module alone knows the layout of the joint space.  Probe basis
+ordering is |00>, |01>, |10>, |11> (index = 2*left + right); joint
+signal-probe vectors use index = 4*signal + probe, so a joint operator
+reshapes to (signal, probe, signal, probe) axes of sizes (2, 4, 2, 4).
 """
 
 import dataclasses
@@ -22,7 +24,6 @@ import numpy as np
 from . import protocol
 from .exceptions import ConstraintError, DomainError
 from .info import _root, _weights
-from .linalg import adjoint, is_isometry, partial_trace_probe, partial_trace_signal
 from .protocol import check_domain, check_range
 
 __all__ = [
@@ -40,7 +41,8 @@ __all__ = [
     "simulate_bob_flips",
 ]
 
-_NORM_TOL = 1e-10
+# Largest error of a probe state's squared norm.
+_NORM_TOL = 1e-12
 
 # Eve measures her probe in the computational basis; outcomes are
 # reported in the order |00>, |10>, |01>, |11>.
@@ -59,27 +61,23 @@ class AttackParameters:
         Bob's error rate, in [p/2, 1/2].
     r_beta_a, r_gamma_a : float
         Magnitudes of the |10> and |01> components of the probe state
-        paired with the kept signal; squares must sum to 1 within 1e-10.
-    phi_gamma_a : float
-        Phase (radians) of the |01> component of that probe state.
+        paired with the kept signal; squares must sum to 1 within 1e-12.
     r_beta_c, r_gamma_c : float
         Same magnitudes for the probe state paired with the flipped
         signal.
-    phi_gamma_c : float
-        Phase of its |01> component.
-
-    Only the phase difference ``phi_gamma_a - phi_gamma_c`` affects any
-    observable quantity.
+    delta_phi : float
+        Phase (radians) of the kept-signal probe's |01> component
+        relative to the flipped-signal probe's.  Only this difference
+        of the two phases affects any observable quantity.
     """
 
     p: float
     q: float
     r_beta_a: float
     r_gamma_a: float
-    phi_gamma_a: float
     r_beta_c: float
     r_gamma_c: float
-    phi_gamma_c: float
+    delta_phi: float
 
     def __post_init__(self):
         p, q = check_domain(self.p, self.q)
@@ -90,8 +88,10 @@ class AttackParameters:
             if not math.isfinite(r) or r < 0.0:
                 raise DomainError(f"{name}={r} must be a nonnegative real")
             object.__setattr__(self, name, r)
-        object.__setattr__(self, "phi_gamma_a", float(self.phi_gamma_a))
-        object.__setattr__(self, "phi_gamma_c", float(self.phi_gamma_c))
+        phi = float(self.delta_phi)
+        if not math.isfinite(phi):
+            raise DomainError(f"delta_phi={phi} must be finite")
+        object.__setattr__(self, "delta_phi", phi)
         na = self.r_beta_a ** 2 + self.r_gamma_a ** 2
         nc = self.r_beta_c ** 2 + self.r_gamma_c ** 2
         if abs(na - 1.0) > _NORM_TOL:
@@ -108,11 +108,6 @@ class AttackParameters:
     def beta_c_sq(self):
         """Squared |10> weight of the flipped-signal probe state."""
         return self.r_beta_c ** 2
-
-    @property
-    def delta_phi(self):
-        """Phase difference phi_gamma_a - phi_gamma_c."""
-        return self.phi_gamma_a - self.phi_gamma_c
 
     @property
     def cos_delta_phi(self):
@@ -138,9 +133,9 @@ class AncillaSet:
             vec = np.asarray(getattr(self, name), dtype=complex)
             if vec.shape != (4,):
                 raise DomainError(f"probe state {name} must have 4 components")
-            norm = float(np.linalg.norm(vec))
-            if abs(norm - 1.0) > 1e-12:
-                raise ConstraintError(f"probe state {name} has norm {norm}, not 1")
+            norm_sq = float(np.vdot(vec, vec).real)
+            if not abs(norm_sq - 1.0) <= _NORM_TOL:
+                raise ConstraintError(f"probe state {name} has norm squared {norm_sq}, not 1")
             object.__setattr__(self, name, vec)
 
 
@@ -158,10 +153,9 @@ def parameters_from_squares(p, q, beta_a_sq, beta_c_sq, cos_dphi):
     """Build `AttackParameters` from squared weights and a phase cosine.
 
     Radii are the nonnegative square roots; the gamma radii follow from
-    the unit-norm pairs.  ``phi_gamma_a = arccos(cos_dphi)`` and
-    ``phi_gamma_c = 0``.  No overlap condition is imposed here — use
-    `constraint_residuals` or `sixstate.optimize.feasible_phase` for
-    that.
+    the unit-norm pairs, and ``delta_phi = arccos(cos_dphi)``.  No
+    overlap condition is imposed here — use `constraint_residuals` or
+    `sixstate.optimize.feasible_phase` for that.
     """
     beta_a_sq = check_range(beta_a_sq, 0.0, 1.0, "squared weight")
     beta_c_sq = check_range(beta_c_sq, 0.0, 1.0, "squared weight")
@@ -171,10 +165,9 @@ def parameters_from_squares(p, q, beta_a_sq, beta_c_sq, cos_dphi):
         q=q,
         r_beta_a=math.sqrt(beta_a_sq),
         r_gamma_a=math.sqrt(1.0 - beta_a_sq),
-        phi_gamma_a=math.acos(cos_dphi),
         r_beta_c=math.sqrt(beta_c_sq),
         r_gamma_c=math.sqrt(1.0 - beta_c_sq),
-        phi_gamma_c=0.0,
+        delta_phi=math.acos(cos_dphi),
     )
 
 
@@ -198,10 +191,9 @@ def optimal_parameters(p, q):
         q=q,
         r_beta_a=big,
         r_gamma_a=small,
-        phi_gamma_a=0.0,
         r_beta_c=small,
         r_gamma_c=big,
-        phi_gamma_c=0.0,
+        delta_phi=0.0,
     )
 
 
@@ -216,9 +208,12 @@ def antiphase_parameters(p, q):
 
 
 def build_ancillas(params):
-    """Assemble the four probe state vectors for a parameter point."""
-    a = [0.0, params.r_gamma_a * np.exp(1j * params.phi_gamma_a), params.r_beta_a, 0.0]
-    c = [0.0, params.r_gamma_c * np.exp(1j * params.phi_gamma_c), params.r_beta_c, 0.0]
+    """Assemble the four probe state vectors for a parameter point.
+
+    The phase difference sits on a's |01> amplitude; c's is real.
+    """
+    a = [0.0, params.r_gamma_a * np.exp(1j * params.delta_phi), params.r_beta_a, 0.0]
+    c = [0.0, params.r_gamma_c, params.r_beta_c, 0.0]
     return AncillaSet(a=a, b=[1.0, 0.0, 0.0, 0.0], c=c, d=[0.0, 0.0, 0.0, 1.0])
 
 
@@ -264,7 +259,7 @@ def build_isometry(d, ancillas):
     v[4:8, 0] = flip * ancillas.b
     v[4:8, 1] = keep * ancillas.c
     v[0:4, 1] = flip * ancillas.d
-    if not is_isometry(v):
+    if not np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-10:
         raise ConstraintError(
             "columns are not isometric: probe states violate the "
             "kept/flipped orthogonality conditions"
@@ -308,9 +303,17 @@ def eve_distribution_closed_form(params):
 
 
 def _joint_states(iso, basis, p):
-    """``iso rho iso^dagger`` for the noisy basis states of bits 0 and 1."""
+    """``iso rho iso^dagger`` for the noisy basis states of bits 0 and 1.
+
+    Each joint operator comes back with (signal, probe, signal, probe)
+    axes of shape (2, 4, 2, 4).  An `iso` of any shape but (8, 2) raises
+    `DomainError`.
+    """
     iso = np.asarray(iso, dtype=complex)
-    return [iso @ protocol.noisy_signal(basis, bit, p) @ adjoint(iso) for bit in (0, 1)]
+    if iso.shape != (8, 2):
+        raise DomainError(f"isometry must have shape (8, 2), got {iso.shape}")
+    return [(iso @ protocol.noisy_signal(basis, bit, p) @ iso.conj().T).reshape(2, 4, 2, 4)
+            for bit in (0, 1)]
 
 
 def simulate_eve_distribution(iso, p):
@@ -319,11 +322,12 @@ def simulate_eve_distribution(iso, p):
     For each value of Alice's bit, sends the noisy computational-basis
     signal through the isometry, traces out the signal, and reads the
     probe populations in the order |00>, |10>, |01>, |11>.  Independent
-    oracle for `eve_distribution_closed_form`.
+    oracle for `eve_distribution_closed_form`.  `iso` must be 8x2, as
+    `build_isometry` returns it, or `DomainError` is raised.
     """
     out = []
     for joint in _joint_states(iso, "z", p):
-        pops = np.real(np.diag(partial_trace_signal(joint)))
+        pops = np.real(np.diag(np.einsum("ikil->kl", joint)))
         out.extend(pops[i] for i in _OUTCOME_ORDER)
     return np.array(out)
 
@@ -335,7 +339,8 @@ def simulate_bob_flips(iso, p, basis):
     qubit, and returns ``(w0, w1)``: the probabilities that Bob reads
     bit 0 as 1 and bit 1 as 0.  Their mean is Bob's error rate, and
     ``|w1 - w0|`` is zero when Alice and Bob see a symmetric error
-    channel in that basis.
+    channel in that basis.  `iso` must be 8x2, or `DomainError` is
+    raised.
     """
-    bob0, bob1 = (partial_trace_probe(j) for j in _joint_states(iso, basis, p))
+    bob0, bob1 = (np.einsum("ikjk->ij", j) for j in _joint_states(iso, basis, p))
     return protocol._bob_flips(bob0, bob1, basis)

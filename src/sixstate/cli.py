@@ -8,8 +8,8 @@ consistency checks at one parameter point.
 Data goes to stdout or the ``--out`` file; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments or
 I/O failure, 3 crossing-search failure, 4 closed-form/grid mismatch.
-An internal invariant failure (`ConstraintError`, `DimensionError`) is
-not caught: Python prints its traceback and exits 1.
+An internal invariant failure (a `ConstraintError`) is not caught:
+Python prints its traceback and exits 1.
 """
 
 import argparse

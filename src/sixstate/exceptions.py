@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """A numeric argument lies outside its physically meaningful range."""
 
 
-class DimensionError(ValueError):
-    """An array has a shape the fixed-dimension routines cannot handle."""
-
-
 class ConstraintError(ValueError):
     """Probe parameters or probe vectors break a required constraint."""
 

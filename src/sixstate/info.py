@@ -18,7 +18,7 @@ outcome table of the eavesdropper, and the brute-force search in
 import numpy as np
 
 from .exceptions import DomainError
-from .protocol import check_domain, check_range
+from .protocol import _disturbance, check_domain, check_range
 
 __all__ = [
     "mutual_information",
@@ -52,7 +52,7 @@ def _weights(p, q, ba, bc, ga, gc):
     (p/2) a + (1 - p/2) c)`` given Alice's bit 0 and bit 1.
     """
     half = p / 2.0
-    d = (q - half) / (1.0 - p)
+    d = _disturbance(q, p)
     pref = (1.0 - half - q) / (1.0 - p)
 
     def mix(a, c):
@@ -132,6 +132,11 @@ def _root(p, q):
     return np.minimum(root, 1.0)
 
 
+def _beta_sq(p, q, sign):
+    """Root ``(1 + sign * root) / 2`` of `beta_sq_optimal` for sign +-1; broadcasts."""
+    return (1.0 + sign * _root(p, q)) / 2.0
+
+
 def beta_sq_optimal(p, q, branch="plus"):
     """Squared |10> weight of the best probe attached to the kept signal.
 
@@ -145,10 +150,7 @@ def beta_sq_optimal(p, q, branch="plus"):
     p, q = check_domain(p, q)
     if branch not in ("plus", "minus"):
         raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    root = float(_root(p, q))
-    if branch == "plus":
-        return (1.0 + root) / 2.0
-    return (1.0 - root) / 2.0
+    return float(_beta_sq(p, q, 1.0 if branch == "plus" else -1.0))
 
 
 def _i_ae_aligned(p, q, beta_sq):
@@ -172,7 +174,7 @@ def i_ae_closed_form(p, q, beta_sq):
 
 
 def _i_ae_optimal(p, q):
-    value = _i_ae_aligned(p, q, (1.0 + _root(p, q)) / 2.0)
+    value = _i_ae_aligned(p, q, _beta_sq(p, q, 1.0))
     return np.where(q <= p / 2.0, 0.0, value)
 
 
@@ -189,7 +191,7 @@ def i_ae_optimal(p, q):
 
 def _i_ae_antiphase(p, q):
     half = p / 2.0
-    d = (q - half) / (1.0 - p)
+    d = _disturbance(q, p)
     return np.where(q <= half, 0.0, d * (1.0 + _xlog2(half) + _xlog2(1.0 - half)))
 
 

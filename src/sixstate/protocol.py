@@ -117,7 +117,12 @@ def _bob_flips(rho0, rho1, basis):
     return wrong0, wrong1
 
 
+def _disturbance(q, p):
+    """Flip probability ``(q - p/2) / (1 - p)``; broadcasts, checks nothing."""
+    return (q - p / 2.0) / (1.0 - p)
+
+
 def d_from_qber(q, p):
     """Flip probability ``(q - p/2) / (1 - p)``, inverse of ``q = d (1 - p) + p/2``."""
     p, q = check_domain(p, q)
-    return (q - p / 2.0) / (1.0 - p)
+    return _disturbance(q, p)

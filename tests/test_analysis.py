@@ -124,6 +124,8 @@ class TestCrossingPoint:
             crossing_point(0.6)
         with pytest.raises(DomainError):
             crossing_point(0.1, tol=0.0)
+        with pytest.raises(DomainError):
+            crossing_point(0.1, tol=10 ** 400)
 
 
 class TestCrossingSweep:

@@ -19,7 +19,6 @@ from sixstate.attack import (
     simulate_eve_distribution,
 )
 from sixstate.exceptions import ConstraintError, DomainError
-from sixstate.linalg import is_isometry
 
 # grid for the oracle-equivalence sweeps
 ORACLE_GRID = [
@@ -27,6 +26,11 @@ ORACLE_GRID = [
     for p in (0.0, 0.01, 0.05, 0.1, 0.2)
     for q in np.linspace(p / 2 + 0.01, 0.45, 5)
 ]
+
+
+def is_isometry(v):
+    """Whether the columns of v are orthonormal within 1e-10."""
+    return np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) <= 1e-10
 
 
 def isometry_for(params):
@@ -53,18 +57,31 @@ class TestAttackParameters:
 
     def test_norm_violation(self):
         with pytest.raises(ConstraintError):
-            AttackParameters(0.0, 0.1, 0.9, 0.9, 0.0, 1.0, 0.0, 0.0)
+            AttackParameters(0.0, 0.1, 0.9, 0.9, 1.0, 0.0, 0.0)
 
     def test_negative_radius(self):
         with pytest.raises(DomainError):
-            AttackParameters(0.0, 0.1, -1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+            AttackParameters(0.0, 0.1, -1.0, 0.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_non_finite_phase(self, phi):
+        with pytest.raises(DomainError):
+            AttackParameters(0.0, 0.1, 1.0, 0.0, 1.0, 0.0, phi)
 
     def test_bad_domain(self):
         with pytest.raises(DomainError):
             parameters_from_squares(0.2, 0.05, 0.5, 0.5, 1.0)
 
+    def test_norm_tolerance_matches_ancilla_set(self):
+        # the type and AncillaSet share one tolerance on the squared norm:
+        # a point the type accepts always builds, and one it would not
+        # build is refused at construction
+        with pytest.raises(ConstraintError):
+            AttackParameters(0.0, 0.1, 0.8, 0.6 + 4e-11, 0.6, 0.8, 0.0)
+        build_ancillas(AttackParameters(0.0, 0.1, 0.8, 0.6 + 4e-13, 0.6, 0.8, 0.0))
+
     def test_delta_phi(self):
-        params = AttackParameters(0.0, 0.1, 0.8, 0.6, math.pi, 0.8, 0.6, 0.0)
+        params = AttackParameters(0.0, 0.1, 0.8, 0.6, 0.8, 0.6, math.pi)
         assert params.delta_phi == pytest.approx(math.pi)
         assert params.cos_delta_phi == pytest.approx(-1.0)
 
@@ -98,13 +115,13 @@ def test_antiphase_has_opposed_phases_and_equal_weights():
 
 class TestBuildAncillas:
     def test_pure_beta_state(self):
-        params = AttackParameters(0.0, 0.1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+        params = AttackParameters(0.0, 0.1, 1.0, 0.0, 1.0, 0.0, 0.0)
         anc = build_ancillas(params)
         assert np.allclose(anc.a, [0, 0, 1, 0])
 
     def test_identical_states_overlap_one(self):
         s = 1 / math.sqrt(2)
-        params = AttackParameters(0.1, 0.05, s, s, 0.0, s, s, 0.0)
+        params = AttackParameters(0.1, 0.05, s, s, s, s, 0.0)
         anc = build_ancillas(params)
         assert np.vdot(anc.a, anc.c) == pytest.approx(1.0)
 
@@ -135,7 +152,7 @@ class TestConstraintResiduals:
 
     def test_no_interaction_with_identical_states(self):
         s = 1 / math.sqrt(2)
-        params = AttackParameters(0.1, 0.05, s, s, 0.0, s, s, 0.0)
+        params = AttackParameters(0.1, 0.05, s, s, s, s, 0.0)
         res = constraint_residuals(build_ancillas(params), 0.1, 0.05)
         assert res[1] == pytest.approx(0.0, abs=1e-15)
 
@@ -194,7 +211,7 @@ class TestEveDistribution:
         assert m[5] + m[6] == pytest.approx(1.0)
 
     def test_pure_beta_noiseless(self):
-        params = AttackParameters(0.0, 0.2, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        params = AttackParameters(0.0, 0.2, 1.0, 0.0, 0.0, 1.0, 0.0)
         m = eve_distribution_closed_form(params)
         assert m[0] == pytest.approx(0.2)
         assert m[1] == pytest.approx(0.8)
@@ -278,3 +295,45 @@ class TestBobSymmetry:
         v[6, 1] = 1.0               # keep |1> always, probe |10>
         assert is_isometry(v)
         assert symmetry_residual(v, 0.0, "z") > 0.1
+
+
+class TestJointLayout:
+    """The simulators' reading of the joint index ``4 * signal + probe``."""
+
+    @staticmethod
+    def product_isometry(probe):
+        # |k> -> |k> (x) |probe>: the signal passes untouched
+        v = np.zeros((8, 2), dtype=complex)
+        v[0:4, 0] = probe
+        v[4:8, 1] = probe
+        return v
+
+    @pytest.fixture
+    def probe(self):
+        rng = np.random.default_rng(2)
+        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+        return vec / np.linalg.norm(vec)
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.7])
+    def test_product_isometry_leaves_bob_the_noise(self, probe, p):
+        iso = self.product_isometry(probe)
+        assert is_isometry(iso)
+        for basis in protocol.BASES:
+            w0, w1 = simulate_bob_flips(iso, p, basis)
+            assert w0 == pytest.approx(p / 2, abs=1e-14)
+            assert w1 == pytest.approx(p / 2, abs=1e-14)
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.7])
+    def test_product_isometry_gives_eve_the_probe(self, probe, p):
+        pops = np.abs(probe) ** 2
+        expected = np.tile(pops[[0, 2, 1, 3]], 2)
+        sim = simulate_eve_distribution(self.product_isometry(probe), p)
+        assert np.allclose(sim, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 8)])
+    def test_wrong_shape_refused(self, shape):
+        iso = np.ones(shape)
+        with pytest.raises(DomainError):
+            simulate_eve_distribution(iso, 0.1)
+        with pytest.raises(DomainError):
+            simulate_bob_flips(iso, 0.1, "z")

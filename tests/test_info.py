@@ -195,10 +195,9 @@ class TestIAEGeneral:
             q=params.q,
             r_beta_a=params.r_gamma_a,
             r_gamma_a=params.r_beta_a,
-            phi_gamma_a=params.phi_gamma_a,
             r_beta_c=params.r_gamma_c,
             r_gamma_c=params.r_beta_c,
-            phi_gamma_c=params.phi_gamma_c,
+            delta_phi=params.delta_phi,
         )
         assert i_ae_of(params) == i_ae_of(swapped)
 
