@@ -38,6 +38,11 @@ _EDGE = 1e-9
 # and run time (one bisection per crossing step).
 _MAX_CURVE_STEPS = 100_000
 _MAX_CROSSING_STEPS = 10_000
+# Bisection levels per kernel call, and rows per kernel call.  Six levels
+# (63 midpoints a row) timed fastest of 4-10; 64 rows keep the kernel's
+# temporaries near 1 MB however long the sweep.
+_LEVELS = 6
+_ROWS = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,6 +121,8 @@ def crossing_point(p, tol=1e-9):
     Locates the root of ``i_ab(q) - i_ae_optimal(p, q)`` by bisection
     on [p/2 + 1e-9, 1/2 - 1e-9].  A 1000-point pre-scan certifies that
     the difference changes sign exactly once before bisection starts.
+    This is the one-row case of the lock-step search `crossing_sweep`
+    runs, so both give the same result at the same p.
 
     Parameters
     ----------
@@ -138,12 +145,34 @@ def crossing_point(p, tol=1e-9):
     AmbiguousCrossingError
         If the pre-scan sees more than one sign change.
     """
-    p = check_range(p, 0.0, 0.5, "noise parameter p")
-    tol = _float(tol, "tol")
-    if not tol > 0.0:
-        raise DomainError(f"tol={tol} must be positive")
-    lo = p / 2.0 + _EDGE
-    hi = 0.5 - _EDGE
+    return _crossings([check_range(p, 0.0, 0.5, "noise parameter p")], tol)[0]
+
+
+def crossing_sweep(p_min, p_max, steps=21, tol=1e-9):
+    """Crossing thresholds on a uniform noise grid.
+
+    steps runs from 1 to 10,000.  steps == 1 degenerates to the single
+    point p_min (p_max must then equal p_min); otherwise p_min < p_max
+    is required.  Every row equals `crossing_point` at its p bit for
+    bit; the rows are bisected in lock step, and the first p in sweep
+    order whose pre-scan fails raises its error.
+    """
+    steps = int(check_range(steps, 1, _MAX_CROSSING_STEPS, "steps"))
+    p_min = check_range(p_min, 0.0, 0.5, "noise parameter p_min")
+    p_max = check_range(p_max, p_min, 0.5, "noise parameter p_max")
+    if steps == 1:
+        if not math.isclose(p_min, p_max, abs_tol=1e-15):
+            raise DomainError("steps=1 requires p_min == p_max")
+        ps = [p_min]
+    else:
+        if not p_min < p_max:
+            raise DomainError("need p_min < p_max for a multi-point sweep")
+        ps = np.linspace(p_min, p_max, steps).tolist()
+    return _crossings(ps, tol)
+
+
+def _prescan(p, lo, hi):
+    """Refuse a bracket without exactly one sign change of the advantage."""
     # linspace holds both ends exactly, so the scan also gives f(lo), f(hi).
     scan = _advantage(p, np.linspace(lo, hi, 1000))
     if not (scan[0] > 0.0 and scan[-1] < 0.0):
@@ -158,45 +187,70 @@ def crossing_point(p, tol=1e-9):
         raise AmbiguousCrossingError(
             f"pre-scan found {changes} sign changes for p={p}"
         )
-    iterations = 0
-    q_cross = 0.5 * (lo + hi)
-    # The second test ends the search once the bracket cannot split further.
-    while hi - lo > tol and lo < q_cross < hi:
-        if _advantage(p, q_cross) > 0.0:
-            lo = q_cross
-        else:
-            hi = q_cross
-        iterations += 1
-        q_cross = 0.5 * (lo + hi)
-    q_line = PURE_CROSSING_D * (1.0 - p) + p / 2.0
-    return CrossingResult(
-        p=p,
-        q_cross=q_cross,
-        q_line=q_line,
-        margin=q_cross - q_line,
-        iterations=iterations,
-    )
 
 
-def crossing_sweep(p_min, p_max, steps=21, tol=1e-9):
-    """Crossing thresholds on a uniform noise grid.
+def _splits(lo, mid, hi, tol):
+    """Whether bisection goes on from [lo, hi] with midpoint mid.
 
-    steps runs from 1 to 10,000.  steps == 1 degenerates to the single
-    point p_min (p_max must then equal p_min); otherwise p_min < p_max
-    is required.
+    The second test stops a bracket that cannot split further in
+    floating point, so a tol below the float spacing still ends.
     """
-    steps = int(check_range(steps, 1, _MAX_CROSSING_STEPS, "steps"))
-    p_min = check_range(p_min, 0.0, 0.5, "noise parameter p_min")
-    p_max = check_range(p_max, p_min, 0.5, "noise parameter p_max")
-    if steps == 1:
-        if not math.isclose(p_min, p_max, abs_tol=1e-15):
-            raise DomainError("steps=1 requires p_min == p_max")
-        ps = [p_min]
-    else:
-        if not p_min < p_max:
-            raise DomainError("need p_min < p_max for a multi-point sweep")
-        ps = [float(x) for x in np.linspace(p_min, p_max, steps)]
-    return [crossing_point(p, tol=tol) for p in ps]
+    return hi - lo > tol and lo < mid < hi
+
+
+def _crossings(ps, tol):
+    """Bisect the crossing at every noise weight in ps, in lock step.
+
+    Each row runs the scalar bisection ``mid = 0.5 * (lo + hi)`` while
+    `_splits`.  One kernel call per round evaluates, for each of up to
+    _ROWS live rows, every midpoint its next _LEVELS steps could visit,
+    built from adjacent bracket ends by that same expression; each row
+    then walks its own path through them.  So every bracket, count and
+    result equals one-at-a-time bisection bit for bit, and a row whose
+    next step would stop costs no call.
+    """
+    tol = _float(tol, "tol")
+    if not tol > 0.0:
+        raise DomainError(f"tol={tol} must be positive")
+    los = [p / 2.0 + _EDGE for p in ps]
+    his = [0.5 - _EDGE] * len(ps)
+    for p, lo, hi in zip(ps, los, his):
+        _prescan(p, lo, hi)
+    iterations = [0] * len(ps)
+    width = 2 ** _LEVELS
+    for start in range(0, len(ps), _ROWS):
+        chunk = range(start, min(start + _ROWS, len(ps)))
+        while True:
+            live = [i for i in chunk if _splits(los[i], 0.5 * (los[i] + his[i]), his[i], tol)]
+            if not live:
+                break
+            # Each row's bracket ends and midpoints in order; level k fills
+            # the columns halfway between those filled before it.
+            edges = np.empty((len(live), width + 1))
+            edges[:, 0] = [los[i] for i in live]
+            edges[:, -1] = [his[i] for i in live]
+            for k in range(_LEVELS):
+                s = width >> (k + 1)
+                edges[:, s::2 * s] = 0.5 * (edges[:, : -s : 2 * s] + edges[:, 2 * s :: 2 * s])
+            ahead = _advantage(np.array([ps[i] for i in live])[:, None], edges[:, 1:-1]) > 0.0
+            for i, row, row_ahead in zip(live, edges.tolist(), ahead.tolist()):
+                a, b = 0, width
+                while b - a > 1 and _splits(row[a], row[(a + b) // 2], row[b], tol):
+                    m = (a + b) // 2
+                    if row_ahead[m - 1]:
+                        a = m
+                    else:
+                        b = m
+                    iterations[i] += 1
+                los[i], his[i] = row[a], row[b]
+    results = []
+    for p, lo, hi, n in zip(ps, los, his, iterations):
+        q_cross = 0.5 * (lo + hi)
+        q_line = PURE_CROSSING_D * (1.0 - p) + p / 2.0
+        results.append(CrossingResult(
+            p=p, q_cross=q_cross, q_line=q_line, margin=q_cross - q_line, iterations=n,
+        ))
+    return results
 
 
 def key_feasible(p, q):

@@ -43,6 +43,8 @@ __all__ = [
 
 # Largest error of a probe state's squared norm.
 _NORM_TOL = 1e-12
+# Largest entry of V^dagger V - I an isometry may have.
+_ISO_TOL = 1e-10
 
 # Eve measures her probe in the computational basis; outcomes are
 # reported in the order |00>, |10>, |01>, |11>.
@@ -259,7 +261,7 @@ def build_isometry(d, ancillas):
     v[4:8, 0] = flip * ancillas.b
     v[4:8, 1] = keep * ancillas.c
     v[0:4, 1] = flip * ancillas.d
-    if not np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-10:
+    if not _gram_residual(v) <= _ISO_TOL:
         raise ConstraintError(
             "columns are not isometric: probe states violate the "
             "kept/flipped orthogonality conditions"
@@ -302,16 +304,24 @@ def eve_distribution_closed_form(params):
     return m
 
 
+def _gram_residual(v):
+    """``max |V^dagger V - I|``: zero exactly when v's columns are orthonormal."""
+    return np.abs(v.conj().T @ v - np.eye(2)).max()
+
+
 def _joint_states(iso, basis, p):
     """``iso rho iso^dagger`` for the noisy basis states of bits 0 and 1.
 
     Each joint operator comes back with (signal, probe, signal, probe)
-    axes of shape (2, 4, 2, 4).  An `iso` of any shape but (8, 2) raises
-    `DomainError`.
+    axes of shape (2, 4, 2, 4).  An `iso` of any shape but (8, 2), or
+    whose columns fail the isometry check at 1e-10, raises `DomainError`.
     """
     iso = np.asarray(iso, dtype=complex)
     if iso.shape != (8, 2):
         raise DomainError(f"isometry must have shape (8, 2), got {iso.shape}")
+    residual = _gram_residual(iso)
+    if not residual <= _ISO_TOL:
+        raise DomainError(f"isometry columns are not orthonormal: residual {residual}")
     return [(iso @ protocol.noisy_signal(basis, bit, p) @ iso.conj().T).reshape(2, 4, 2, 4)
             for bit in (0, 1)]
 
@@ -322,8 +332,8 @@ def simulate_eve_distribution(iso, p):
     For each value of Alice's bit, sends the noisy computational-basis
     signal through the isometry, traces out the signal, and reads the
     probe populations in the order |00>, |10>, |01>, |11>.  Independent
-    oracle for `eve_distribution_closed_form`.  `iso` must be 8x2, as
-    `build_isometry` returns it, or `DomainError` is raised.
+    oracle for `eve_distribution_closed_form`.  `iso` must be an 8x2
+    isometry, as `build_isometry` returns it, or `DomainError` is raised.
     """
     out = []
     for joint in _joint_states(iso, "z", p):
@@ -339,8 +349,8 @@ def simulate_bob_flips(iso, p, basis):
     qubit, and returns ``(w0, w1)``: the probabilities that Bob reads
     bit 0 as 1 and bit 1 as 0.  Their mean is Bob's error rate, and
     ``|w1 - w0|`` is zero when Alice and Bob see a symmetric error
-    channel in that basis.  `iso` must be 8x2, or `DomainError` is
-    raised.
+    channel in that basis.  `iso` must be an 8x2 isometry, or
+    `DomainError` is raised.
     """
     bob0, bob1 = (np.einsum("ikjk->ij", j) for j in _joint_states(iso, basis, p))
     return protocol._bob_flips(bob0, bob1, basis)

@@ -1,20 +1,23 @@
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sixstate
-from sixstate import info
+from sixstate import analysis, info
 from sixstate.analysis import (
     PURE_CROSSING_D,
+    CrossingResult,
     crossing_point,
     crossing_sweep,
     curve_sweep,
     key_feasible,
 )
-from sixstate.exceptions import DomainError
+from sixstate.exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
 
 
 def test_baseline_constant():
@@ -160,6 +163,83 @@ class TestCrossingSweep:
         rows = crossing_sweep(-1e-13, 0.5 + 1e-13, steps=2)
         assert [r.p for r in rows] == [0.0, 0.5]
         assert rows[0] == crossing_point(-1e-13)
+
+
+def _crossing_loop(p, tol):
+    """Reference: one scalar bisection per p, as crossing_point ran it."""
+    lo = p / 2.0 + 1e-9
+    hi = 0.5 - 1e-9
+    iterations = 0
+    q_cross = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < q_cross < hi:
+        if analysis._advantage(p, q_cross) > 0.0:
+            lo = q_cross
+        else:
+            hi = q_cross
+        iterations += 1
+        q_cross = 0.5 * (lo + hi)
+    q_line = PURE_CROSSING_D * (1.0 - p) + p / 2.0
+    return CrossingResult(p, q_cross, q_line, q_cross - q_line, iterations)
+
+
+class TestLockStep:
+    """The lock-step search equals one scalar bisection per p, bit for bit."""
+
+    def test_sweep_matches_loop(self):
+        ps = np.linspace(0.0, 0.5, 501).tolist()
+        assert repr(crossing_sweep(0.0, 0.5, 501)) == repr([_crossing_loop(p, 1e-9) for p in ps])
+
+    def test_one_row_sweep_matches_loop(self):
+        assert repr(crossing_sweep(0.3, 0.3, 1)) == repr([_crossing_loop(0.3, 1e-9)])
+
+    @pytest.mark.parametrize("tol", [1.0, 1e-3, 1e-9, 1e-12, 1e-20])
+    def test_tolerances_match_loop(self, tol):
+        ps = np.linspace(0.0, 0.5, 41).tolist()
+        want = [_crossing_loop(p, tol) for p in ps]
+        assert repr([crossing_point(p, tol=tol) for p in ps]) == repr(want)
+        assert repr(crossing_sweep(0.0, 0.5, 41, tol=tol)) == repr(want)
+
+    @staticmethod
+    def stand_in(no_change, several):
+        # one sign change at q = 0.3 on every bracket, except at the p
+        # given as no_change (none) and as several (three)
+        def advantage(p, q):
+            q = np.asarray(q, dtype=float)
+            once = 0.3 - q
+            thrice = -(q - 0.3) * (q - 0.35) * (q - 0.4)
+            return np.where(np.isclose(p, no_change), 1.0 + 0.0 * q,
+                            np.where(np.isclose(p, several), thrice, once))
+        return advantage
+
+    def test_first_failing_p_raises(self, monkeypatch):
+        ps = np.linspace(0.0, 0.4, 5).tolist()
+        monkeypatch.setattr(analysis, "_advantage", self.stand_in(ps[2], ps[3]))
+        with pytest.raises(NoCrossingError, match=f"on \\[{ps[2] / 2.0 + 1e-9}, "):
+            crossing_sweep(0.0, 0.4, 5)
+        monkeypatch.setattr(analysis, "_advantage", self.stand_in(math.nan, ps[3]))
+        with pytest.raises(AmbiguousCrossingError, match=f"for p={ps[3]}$"):
+            crossing_sweep(0.0, 0.4, 5)
+
+    def test_kernel_calls(self, monkeypatch):
+        calls = []
+        advantage = analysis._advantage
+        monkeypatch.setattr(analysis, "_advantage", lambda p, q: calls.append(1) or advantage(p, q))
+        # a bracket already narrower than tol costs the pre-scan alone
+        crossing_point(0.1, tol=1.0)
+        assert len(calls) == 1
+        # one pre-scan per row, then one call per six levels for all rows
+        calls.clear()
+        rows = crossing_sweep(0.0, 0.2, 21)
+        assert len(calls) == 21 + math.ceil(max(r.iterations for r in rows) / 6)
+
+    def test_memory_bounded_by_chunks(self):
+        tracemalloc.start()
+        try:
+            crossing_sweep(0.0, 0.5, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestKeyFeasible:

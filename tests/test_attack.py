@@ -337,3 +337,12 @@ class TestJointLayout:
             simulate_eve_distribution(iso, 0.1)
         with pytest.raises(DomainError):
             simulate_bob_flips(iso, 0.1, "z")
+
+    def test_non_isometry_refused(self):
+        # right shape, but V^dagger V = [[8, 8], [8, 8]]: the simulators
+        # would report "probabilities" summing to 16
+        iso = np.ones((8, 2))
+        with pytest.raises(DomainError, match="not orthonormal"):
+            simulate_eve_distribution(iso, 0.1)
+        with pytest.raises(DomainError, match="not orthonormal"):
+            simulate_bob_flips(iso, 0.1, "z")
