@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
 from .info import _beta_sq, _i_ab, _i_ae_antiphase, _i_ae_optimal
-from .protocol import _float, check_domain, check_range
+from .protocol import _float, check_count, check_domain, check_range
 
 __all__ = [
     "PURE_CROSSING_D",
@@ -95,7 +95,7 @@ def curve_sweep(p, steps=200):
     list of CurvePoint
     """
     p, _ = check_domain(p, p / 2.0)
-    steps = int(check_range(steps, 2, _MAX_CURVE_STEPS, "steps"))
+    steps = check_count(steps, 2, _MAX_CURVE_STEPS, "steps")
     qs = np.linspace(p / 2.0, 0.5, steps)
     i_ab = _i_ab(qs).tolist()
     columns = zip(
@@ -157,7 +157,7 @@ def crossing_sweep(p_min, p_max, steps=21, tol=1e-9):
     bit; the rows are bisected in lock step, and the first p in sweep
     order whose pre-scan fails raises its error.
     """
-    steps = int(check_range(steps, 1, _MAX_CROSSING_STEPS, "steps"))
+    steps = check_count(steps, 1, _MAX_CROSSING_STEPS, "steps")
     p_min = check_range(p_min, 0.0, 0.5, "noise parameter p_min")
     p_max = check_range(p_max, p_min, 0.5, "noise parameter p_max")
     if steps == 1:

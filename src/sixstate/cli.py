@@ -43,9 +43,15 @@ def _write_lines(path, lines):
 
 
 def _csv(header, records):
-    """The header line, then one line per record of its header-named fields."""
-    fields = operator.attrgetter(*header.split(","))
-    return [header] + [",".join(map(_fmt, fields(rec))) for rec in records]
+    """The header line, then one line per record of its header-named fields.
+
+    Each row is one ``%`` operation on a ``%.9g,...`` template, which for a
+    float gives exactly the string `_fmt` gives.
+    """
+    names = header.split(",")
+    fields = operator.attrgetter(*names)
+    row = ",".join(["%.9g"] * len(names))
+    return [header] + [row % fields(rec) for rec in records]
 
 
 def cmd_curves(args):

@@ -9,6 +9,14 @@ information once, in `_i_ae`.  Both broadcast over numpy arrays and
 check nothing; each public function validates its scalar arguments and
 then calls them, and `sixstate.analysis` calls them on whole grids.
 
+On arrays these kernels and `_xlog2`/`_tau` are computed in place: each
+creates one fresh result and applies the remaining steps to it, every
+step the same operation on the same operands as the plain expression,
+so the bits are the same.  Scalars (Python or numpy floats, and what
+0-d arrays turn into) take the plain expressions, since an ``out=``
+call on a scalar costs several times the arithmetic.  No kernel writes
+into its arguments.
+
 The closed forms in this module have two independent cross-checks
 elsewhere in the package: `mutual_information` applied to the joint
 outcome table of the eavesdropper, and the brute-force search in
@@ -35,12 +43,19 @@ _NEG_TOL = 1e-12
 
 def _xlog2(x):
     """x log2 x with the 0 log 0 = 0 convention, over arrays or scalars."""
-    return x * np.log2(x + (x == 0.0))
+    z = x + (x == 0.0)
+    if not isinstance(z, np.ndarray):
+        return x * np.log2(z)
+    np.log2(z, out=z)
+    z *= x
+    return z
 
 
 def _tau(x, y):
     """x log2 x + y log2 y - (x + y) log2 (x + y); broadcasts, checks nothing."""
-    return _xlog2(x) + _xlog2(y) - _xlog2(x + y)
+    s = _xlog2(x) + _xlog2(y)
+    s -= _xlog2(x + y)
+    return s
 
 
 def _weights(p, q, ba, bc, ga, gc):
@@ -56,7 +71,11 @@ def _weights(p, q, ba, bc, ga, gc):
     pref = (1.0 - half - q) / (1.0 - p)
 
     def mix(a, c):
-        return (1.0 - half) * a + half * c, half * a + (1.0 - half) * c
+        w0 = (1.0 - half) * a
+        w0 += half * c
+        w1 = half * a
+        w1 += (1.0 - half) * c
+        return w0, w1
 
     return d, pref, mix(ba, bc), mix(ga, gc)
 
@@ -65,11 +84,17 @@ def _i_ae(p, q, ba, bc, ga, gc):
     """Eve's information for squared probe weights; broadcasts, checks nothing.
 
     ``1 + (pref / 2) (_tau(*beta) + _tau(*gamma)) + d _tau(1 - p/2, p/2)`` over
-    the weights of `_weights`.
+    the weights of `_weights`.  The four weights share one shape, into
+    which p and q broadcast; on arrays the result is built in that shape.
     """
     d, pref, beta, gamma = _weights(p, q, ba, bc, ga, gc)
     half = p / 2.0
-    return 1.0 + 0.5 * pref * (_tau(*beta) + _tau(*gamma)) + d * _tau(1.0 - half, half)
+    s = _tau(*beta)
+    s += _tau(*gamma)
+    s *= 0.5 * pref
+    s += 1.0
+    s += d * _tau(1.0 - half, half)
+    return s
 
 
 def mutual_information(joint):

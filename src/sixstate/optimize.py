@@ -22,7 +22,7 @@ import numpy as np
 from .attack import AttackParameters, overlap_target, parameters_from_squares
 from .exceptions import ConstraintError, DomainError
 from .info import _i_ae, _weights, beta_sq_optimal
-from .protocol import check_domain, check_range
+from .protocol import check_count, check_domain, check_range
 
 __all__ = [
     "OptimizationResult",
@@ -182,8 +182,8 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     OptimizationResult
     """
     p, q = check_domain(p, q)
-    grid = int(check_range(grid, 51, _MAX_GRID, "grid"))
-    refine_iters = int(check_range(refine_iters, 0, _MAX_REFINE, "refine_iters"))
+    grid = check_count(grid, 51, _MAX_GRID, "grid")
+    refine_iters = check_count(refine_iters, 0, _MAX_REFINE, "refine_iters")
     t = overlap_target(p, q)
 
     lo_a, hi_a = 0.0, 1.0
@@ -340,7 +340,7 @@ def phase_branch_scan(p, q, cos_sign, samples=2001):
     p, q = check_domain(p, q)
     if cos_sign not in (1, -1, 1.0, -1.0):
         raise DomainError(f"cos_sign must be +1 or -1, got {cos_sign!r}")
-    samples = int(check_range(samples, 2, _MAX_SAMPLES, "samples"))
+    samples = check_count(samples, 2, _MAX_SAMPLES, "samples")
     t = overlap_target(p, q)
     theta = math.acos(min(max(t, -1.0), 1.0))
     if cos_sign > 0:

@@ -6,8 +6,9 @@ x, y, z.  A white-noise source replaces her pure state by the mixture
 an error rate of p/2.  An eavesdropper who flips the kept signal with
 probability d raises that to ``q = d (1 - p) + p / 2``.
 
-`check_domain` is the package's one validator of a ``(p, q)`` pair, and
-`check_range` its one range check with round-off clamping.
+`check_domain` is the package's one validator of a ``(p, q)`` pair,
+`check_range` its one range check with round-off clamping, and
+`check_count` its one check of a count.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from .exceptions import DomainError
 __all__ = [
     "BASES",
     "check_range",
+    "check_count",
     "check_domain",
     "pure_signal",
     "noisy_signal",
@@ -68,6 +70,20 @@ def check_range(x, lo, hi, what):
     if not lo - _TOL <= x <= hi + _TOL:
         raise DomainError(f"{what}={x} outside [{lo}, {hi}]")
     return min(max(x, lo), hi)
+
+
+def check_count(x, lo, hi, what):
+    """x as an int in [lo, hi].
+
+    Raises
+    ------
+    DomainError
+        If x fails `check_range` or is not a whole number.
+    """
+    n = check_range(x, lo, hi, what)
+    if not float(x).is_integer():
+        raise DomainError(f"{what}={float(x)} is not a whole number")
+    return int(n)
 
 
 def check_domain(p, q):

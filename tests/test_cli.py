@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,14 @@ class TestCurves:
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert cli.main(["curves", "--p", "0.05", "--out", str(missing)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cast", [float, np.float64], ids=["float", "float64"])
+def test_csv_row_template_matches_fmt(cast):
+    values = [-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 1 / 3, math.inf, math.nan]
+    rows = [[cast(v) for v in (values[k:] + values[:k])[:7]] for k in range(len(values))]
+    lines = cli._csv(cli.CURVES_HEADER, [analysis.CurvePoint(*row) for row in rows])
+    assert lines == [cli.CURVES_HEADER] + [",".join(map(cli._fmt, row)) for row in rows]
 
 
 class TestCrossing:

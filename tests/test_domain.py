@@ -5,8 +5,8 @@ each p, ``q = linspace(p/2, 1/2, 10)``, both q endpoints included, and
 on seeded uniform random points of the domain.  Noise raises the
 threshold over the whole crossing domain.  Every count is refused when
 it lies above its bound, before anything is allocated, and when it is
-NaN, infinite or beyond the float range; so is a noise weight beyond the
-float range.
+NaN, infinite, beyond the float range or not a whole number; so is a
+noise weight beyond the float range.
 """
 
 import math
@@ -88,6 +88,20 @@ def test_count_not_finite_refused(count, value):
     call, _ = _COUNTS[count]
     with pytest.raises(DomainError):
         call(value)
+
+
+@pytest.mark.parametrize("count", list(_COUNTS))
+def test_count_not_whole_refused(count):
+    call, bound = _COUNTS[count]
+    with pytest.raises(DomainError, match="not a whole number"):
+        call(bound - 0.5)
+
+
+@pytest.mark.parametrize("value", [np.int64(51), 51.0], ids=["int64", "float"])
+def test_whole_count_of_any_type_accepted(value):
+    assert protocol.check_count(value, 51, 2001, "grid") == 51
+    assert repr(optimize.grid_refine_maximize(0.05, 0.1, grid=value, refine_iters=1)) == repr(
+        optimize.grid_refine_maximize(0.05, 0.1, grid=51, refine_iters=1))
 
 
 @pytest.mark.parametrize("call", [protocol.check_domain, info.i_ae_optimal],

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from sixstate import attack
+from sixstate import attack, info
 from sixstate.exceptions import DomainError
 from sixstate.info import (
     _i_ae,
     _tau,
+    _xlog2,
     beta_sq_optimal,
     i_ab,
     i_ae_antiphase,
@@ -35,6 +36,99 @@ def i_ae_of(params):
             params.r_gamma_c ** 2,
         )
     )
+
+
+# The kernels as plain expressions: the reference the in-place kernels of
+# sixstate.info must match bit for bit.
+def _xlog2_reference(x):
+    return x * np.log2(x + (x == 0.0))
+
+
+def _tau_reference(x, y):
+    return _xlog2_reference(x) + _xlog2_reference(y) - _xlog2_reference(x + y)
+
+
+def _i_ae_reference(p, q, ba, bc, ga, gc):
+    half = p / 2.0
+    d = (q - p / 2.0) / (1.0 - p)
+    pref = (1.0 - half - q) / (1.0 - p)
+
+    def mix(a, c):
+        return (1.0 - half) * a + half * c, half * a + (1.0 - half) * c
+
+    beta, gamma = mix(ba, bc), mix(ga, gc)
+    return (1.0 + 0.5 * pref * (_tau_reference(*beta) + _tau_reference(*gamma))
+            + d * _tau_reference(1.0 - half, half))
+
+
+def _crossing_shape():
+    """p down the rows against a (rows, 63) q, as the crossing search calls it."""
+    p = np.linspace(0.0, 0.5, 7)[:, None]
+    q = p / 2.0 + np.linspace(0.0, 1.0, 63) * (0.5 - p / 2.0)
+    ba = info._beta_sq(p, q, 1.0)
+    return p, q, ba, 1.0 - ba, 1.0 - ba, ba
+
+
+def _lattice():
+    """Scalar p and q against weight arrays holding exact 0 and 1, as the grid search."""
+    ba = np.array([0.0, 1.0, 0.5, 0.25, 1e-300, 0.999, 0.0, 1.0])
+    bc = np.array([0.0, 1.0, 0.7, 0.0, 1.0, 1e-17, 1.0, 0.0])
+    return 0.05, 0.15, ba, bc, 1.0 - ba, 1.0 - bc
+
+
+_XS = {
+    "zeros_and_ones": (np.array([0.0, 1.0, 0.0, 0.5, 1e-300, 1.0 - 1e-16]),),
+    "python_float": (0.3,),
+    "python_zero": (0.0,),
+    "float64": (np.float64(0.7),),
+    "float64_zero": (np.float64(0.0),),
+    "0d_array": (np.array(0.2),),
+    "0d_zero": (np.array(0.0),),
+    "crossing_shape": (_crossing_shape()[1],),
+}
+_TAUS = {
+    "zeros_and_ones": (np.array([0.0, 1.0, 0.5, 0.0]), np.array([1.0, 0.0, 0.5, 0.0])),
+    "python_floats": (0.2, 0.7),
+    "python_zero": (0.4, 0.0),
+    "float64": (np.float64(0.2), np.float64(0.0)),
+    "0d_arrays": (np.array(0.2), np.array(0.6)),
+    "scalar_and_array": (0.3, np.array([0.0, 0.1, 1.0])),
+    "crossing_shape": _crossing_shape()[:2],
+}
+_I_AES = {
+    "lattice": _lattice(),
+    "python_floats": (0.05, 0.12, 0.8, 0.35, 0.2, 0.65),
+    "python_edges": (0.0, 0.5, 1.0, 0.0, 0.0, 1.0),
+    "float64": tuple(np.float64(v) for v in (0.1, 0.3, 0.6, 0.2, 0.4, 0.8)),
+    "0d_arrays": tuple(np.array(v) for v in (0.1, 0.05, 0.5, 0.5, 0.5, 0.5)),
+    "crossing_shape": _crossing_shape(),
+}
+_KERNELS = [
+    pytest.param(kernel, reference, args, id=f"{name}-{case}")
+    for name, kernel, reference, cases in [
+        ("xlog2", _xlog2, _xlog2_reference, _XS),
+        ("tau", _tau, _tau_reference, _TAUS),
+        ("i_ae", _i_ae, _i_ae_reference, _I_AES),
+    ]
+    for case, args in cases.items()
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kernel,reference,args", _KERNELS)
+def test_kernel_bit_identical_to_reference(kernel, reference, args):
+    before = [np.array(a, copy=True) for a in args]
+    got = kernel(*args)
+    want = reference(*args)
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert repr(got) == repr(want)
+    # The in-place steps write only into the kernel's own fresh results.
+    for a, b in zip(args, before):
+        assert np.array(a).tobytes() == b.tobytes()
 
 
 class TestTau:

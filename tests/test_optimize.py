@@ -13,6 +13,8 @@ from sixstate.optimize import (
     verify_root_pair,
 )
 
+from test_info import _i_ae_reference
+
 # The search kernels broadcast over arrays; a numpy RuntimeWarning there
 # (a square root or arc cosine of a negative round-off) is a fault.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -87,6 +89,14 @@ class TestGridRefineMaximize:
     def test_coarse_grid_rejected(self):
         with pytest.raises(DomainError):
             grid_refine_maximize(0.0, 0.1, grid=50, refine_iters=2)
+
+    @pytest.mark.parametrize(
+        "p,q", [(0.0, 0.0), (0.9, 0.5), (0.3, 0.2), (0.05, 0.15), (0.95, 0.5 - 1e-13)]
+    )
+    def test_identical_through_reference_kernel(self, monkeypatch, p, q):
+        result = repr(grid_refine_maximize(p, q))
+        monkeypatch.setattr(optimize, "_i_ae", _i_ae_reference)
+        assert repr(grid_refine_maximize(p, q)) == result
 
 
 class TestLagrangeResidual:
