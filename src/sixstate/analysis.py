@@ -24,7 +24,6 @@ __all__ = [
     "curve_sweep",
     "crossing_point",
     "crossing_sweep",
-    "key_feasible",
 ]
 
 # Noiseless-protocol threshold used for the straight-line baseline,
@@ -43,6 +42,12 @@ _MAX_CROSSING_STEPS = 10_000
 # temporaries near 1 MB however long the sweep.
 _LEVELS = 6
 _ROWS = 64
+# The crossing search takes a rise of the advantage back above zero as a
+# second sign change only past this bound, 64 ulps of 1.  Where the
+# bracket nears the float spacing at the root, round-off alone flips the
+# sign of this difference of two informations in [0, 1]: by up to
+# 2.8e-16 over 501 p at tol=1e-20.
+_ROUNDOFF = 64 * np.finfo(float).eps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,10 +124,11 @@ def crossing_point(p, tol=1e-9):
     """Error rate where Bob's and Eve's information curves cross.
 
     Locates the root of ``i_ab(q) - i_ae_optimal(p, q)`` by bisection
-    on [p/2 + 1e-9, 1/2 - 1e-9].  A 1000-point pre-scan certifies that
-    the difference changes sign exactly once before bisection starts.
-    This is the one-row case of the lock-step search `crossing_sweep`
-    runs, so both give the same result at the same p.
+    on [p/2 + 1e-9, 1/2 - 1e-9].  The first bisection round certifies
+    that the difference changes sign exactly once on 65 evenly spaced
+    points, both ends included; each later round checks its own points
+    again.  This is the one-row case of the lock-step search
+    `crossing_sweep` runs, so both give the same result at the same p.
 
     Parameters
     ----------
@@ -143,7 +149,7 @@ def crossing_point(p, tol=1e-9):
     NoCrossingError
         If the difference does not change sign on the interval.
     AmbiguousCrossingError
-        If the pre-scan sees more than one sign change.
+        If a bisection round sees more than one sign change.
     """
     return _crossings([check_range(p, 0.0, 0.5, "noise parameter p")], tol)[0]
 
@@ -154,8 +160,10 @@ def crossing_sweep(p_min, p_max, steps=21, tol=1e-9):
     steps runs from 1 to 10,000.  steps == 1 degenerates to the single
     point p_min (p_max must then equal p_min); otherwise p_min < p_max
     is required.  Every row equals `crossing_point` at its p bit for
-    bit; the rows are bisected in lock step, and the first p in sweep
-    order whose pre-scan fails raises its error.
+    bit; the rows are bisected in lock step, in chunks of 64.  Of the
+    rows the first round refuses, the first in sweep order raises its
+    error; a sign change that only a later round sees raises when that
+    round runs.
     """
     steps = check_count(steps, 1, _MAX_CROSSING_STEPS, "steps")
     p_min = check_range(p_min, 0.0, 0.5, "noise parameter p_min")
@@ -171,24 +179,6 @@ def crossing_sweep(p_min, p_max, steps=21, tol=1e-9):
     return _crossings(ps, tol)
 
 
-def _prescan(p, lo, hi):
-    """Refuse a bracket without exactly one sign change of the advantage."""
-    # linspace holds both ends exactly, so the scan also gives f(lo), f(hi).
-    scan = _advantage(p, np.linspace(lo, hi, 1000))
-    if not (scan[0] > 0.0 and scan[-1] < 0.0):
-        raise NoCrossingError(
-            f"advantage does not change sign on [{lo}, {hi}]: "
-            f"f(lo)={scan[0]}, f(hi)={scan[-1]}"
-        )
-    signs = np.sign(scan)
-    # Both ends have opposite nonzero signs, so there is at least one change.
-    changes = int(np.count_nonzero(np.diff(signs[signs != 0.0])))
-    if changes > 1:
-        raise AmbiguousCrossingError(
-            f"pre-scan found {changes} sign changes for p={p}"
-        )
-
-
 def _splits(lo, mid, hi, tol):
     """Whether bisection goes on from [lo, hi] with midpoint mid.
 
@@ -196,6 +186,34 @@ def _splits(lo, mid, hi, tol):
     floating point, so a tol below the float spacing still ends.
     """
     return hi - lo > tol and lo < mid < hi
+
+
+def _certify(ps, live, edges, values, first):
+    """Raise for the first row, in sweep order, without one sign change.
+
+    values holds the advantage f at a row's edges in round one and at
+    its midpoints after.  Round one needs f(lo) > 0 > f(hi); a later
+    bracket has f(lo) > 0 >= f(hi) already.  One sign change then means
+    that f never rises above zero once it fell below: an exact zero is
+    skipped, and a rise by less than _ROUNDOFF is round-off by the root.
+    """
+    fell = np.logical_or.accumulate(~(values >= 0.0), axis=1)
+    refused = (fell & (values > _ROUNDOFF)).any(axis=1)
+    if first:
+        crosses = (values[:, 0] > 0.0) & (values[:, -1] < 0.0)
+        refused |= ~crosses
+    if not refused.any():
+        return
+    r = int(np.argmax(refused))
+    lo, hi = edges[r, 0], edges[r, -1]
+    if first and not crosses[r]:
+        raise NoCrossingError(
+            f"advantage does not change sign on [{lo}, {hi}]: "
+            f"f(lo)={values[r, 0]}, f(hi)={values[r, -1]}"
+        )
+    raise AmbiguousCrossingError(
+        f"advantage changes sign more than once on [{lo}, {hi}] for p={ps[live[r]]}"
+    )
 
 
 def _crossings(ps, tol):
@@ -207,23 +225,28 @@ def _crossings(ps, tol):
     built from adjacent bracket ends by that same expression; each row
     then walks its own path through them.  So every bracket, count and
     result equals one-at-a-time bisection bit for bit, and a row whose
-    next step would stop costs no call.
+    next step would stop costs no call after round one.
+
+    Round one takes every row, and its call also evaluates both bracket
+    ends: the 65 signs certify one crossing, and each later round checks
+    that its 63 midpoints still see only one (`_certify`).  That a 1/64
+    grid suffices is physics: on (0, 1/2) Bob's information falls,
+    ``I_AB'(q) = log2(q / (1-q)) < 0``, and Eve's optimum does not
+    decrease in q, so the advantage falls strictly and crosses zero once
+    (tests/test_domain.py checks this on 501 p by 20,001 q).  A row thus
+    costs 65 + 63 (rounds - 1) kernel points.
     """
     tol = _float(tol, "tol")
     if not tol > 0.0:
         raise DomainError(f"tol={tol} must be positive")
     los = [p / 2.0 + _EDGE for p in ps]
     his = [0.5 - _EDGE] * len(ps)
-    for p, lo, hi in zip(ps, los, his):
-        _prescan(p, lo, hi)
     iterations = [0] * len(ps)
     width = 2 ** _LEVELS
     for start in range(0, len(ps), _ROWS):
         chunk = range(start, min(start + _ROWS, len(ps)))
-        while True:
-            live = [i for i in chunk if _splits(los[i], 0.5 * (los[i] + his[i]), his[i], tol)]
-            if not live:
-                break
+        live, first = list(chunk), True
+        while live:
             # Each row's bracket ends and midpoints in order; level k fills
             # the columns halfway between those filled before it.
             edges = np.empty((len(live), width + 1))
@@ -232,7 +255,10 @@ def _crossings(ps, tol):
             for k in range(_LEVELS):
                 s = width >> (k + 1)
                 edges[:, s::2 * s] = 0.5 * (edges[:, : -s : 2 * s] + edges[:, 2 * s :: 2 * s])
-            ahead = _advantage(np.array([ps[i] for i in live])[:, None], edges[:, 1:-1]) > 0.0
+            p_col = np.array([ps[i] for i in live])[:, None]
+            values = _advantage(p_col, edges if first else edges[:, 1:-1])
+            _certify(ps, live, edges, values, first)
+            ahead = values[:, 1:-1] > 0.0 if first else values > 0.0
             for i, row, row_ahead in zip(live, edges.tolist(), ahead.tolist()):
                 a, b = 0, width
                 while b - a > 1 and _splits(row[a], row[(a + b) // 2], row[b], tol):
@@ -243,6 +269,8 @@ def _crossings(ps, tol):
                         b = m
                     iterations[i] += 1
                 los[i], his[i] = row[a], row[b]
+            live = [i for i in chunk if _splits(los[i], 0.5 * (los[i] + his[i]), his[i], tol)]
+            first = False
     results = []
     for p, lo, hi, n in zip(ps, los, his, iterations):
         q_cross = 0.5 * (lo + hi)
@@ -251,9 +279,3 @@ def _crossings(ps, tol):
             p=p, q_cross=q_cross, q_line=q_line, margin=q_cross - q_line, iterations=n,
         ))
     return results
-
-
-def key_feasible(p, q):
-    """Whether Bob still holds at least as much information as Eve."""
-    p, q = check_domain(p, q)
-    return bool(_advantage(p, q) >= 0.0)

@@ -14,4 +14,4 @@ class NoCrossingError(RuntimeError):
 
 
 class AmbiguousCrossingError(RuntimeError):
-    """The pre-scan found more than one sign change."""
+    """A bisection round saw the information advantage change sign more than once."""

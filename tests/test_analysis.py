@@ -15,7 +15,6 @@ from sixstate.analysis import (
     crossing_point,
     crossing_sweep,
     curve_sweep,
-    key_feasible,
 )
 from sixstate.exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
 
@@ -220,17 +219,63 @@ class TestLockStep:
         with pytest.raises(AmbiguousCrossingError, match=f"for p={ps[3]}$"):
             crossing_sweep(0.0, 0.4, 5)
 
+    def test_first_failing_p_raises_in_a_later_chunk(self, monkeypatch):
+        # 101 rows: round one of the second chunk of 64 refuses both
+        ps = np.linspace(0.0, 0.4, 101).tolist()
+        monkeypatch.setattr(analysis, "_advantage", self.stand_in(ps[70], ps[80]))
+        with pytest.raises(NoCrossingError, match=f"on \\[{ps[70] / 2.0 + 1e-9}, "):
+            crossing_sweep(0.0, 0.4, 101)
+        monkeypatch.setattr(analysis, "_advantage", self.stand_in(ps[90], ps[66]))
+        with pytest.raises(AmbiguousCrossingError, match=f"for p={ps[66]}$"):
+            crossing_sweep(0.0, 0.4, 101)
+
+    def test_later_round_sees_changes_inside_one_cell(self, monkeypatch):
+        # at p = ps[3] the root and two more sign changes share the round-one
+        # cell [lo + 38 w, lo + 39 w], w = (hi - lo) / 64
+        ps = np.linspace(0.0, 0.4, 5).tolist()
+        lo, hi = ps[3] / 2.0 + 1e-9, 0.5 - 1e-9
+        roots = [lo + (38 + f) * (hi - lo) / 64 for f in (0.2, 0.5, 0.8)]
+
+        def advantage(p, q):
+            q = np.asarray(q, dtype=float)
+            thrice = -(q - roots[0]) * (q - roots[1]) * (q - roots[2])
+            return np.where(np.isclose(p, ps[3]), thrice, 0.3 - q)
+
+        # round one cannot see them: one sign change on its 65 points
+        grid = advantage(ps[3], np.linspace(lo, hi, 65))
+        assert np.count_nonzero(np.diff(np.sign(grid))) == 1
+        monkeypatch.setattr(analysis, "_advantage", advantage)
+        with pytest.raises(AmbiguousCrossingError, match=f"for p={ps[3]}$"):
+            crossing_sweep(0.0, 0.4, 5)
+
+    def test_exact_zeros_skipped(self, monkeypatch):
+        # an exact zero is no sign change: + ... 0 ... + ... - crosses once
+        def advantage(p, q):
+            q = np.asarray(q, dtype=float)
+            return np.where(abs(q - 0.2) < 0.02, 0.0, 0.3 - q) + 0.0 * p
+
+        monkeypatch.setattr(analysis, "_advantage", advantage)
+        assert crossing_point(0.1).q_cross == pytest.approx(0.3, abs=1e-9)
+
     def test_kernel_calls(self, monkeypatch):
-        calls = []
+        calls, points = [], []
         advantage = analysis._advantage
-        monkeypatch.setattr(analysis, "_advantage", lambda p, q: calls.append(1) or advantage(p, q))
-        # a bracket already narrower than tol costs the pre-scan alone
-        crossing_point(0.1, tol=1.0)
-        assert len(calls) == 1
-        # one pre-scan per row, then one call per six levels for all rows
+        def counted(p, q):
+            calls.append(1)
+            points.append(np.size(q))
+            return advantage(p, q)
+        monkeypatch.setattr(analysis, "_advantage", counted)
+        # a bracket already narrower than tol costs round one alone
+        assert crossing_point(0.1, tol=1.0).iterations == 0
+        assert (len(calls), sum(points)) == (1, 65)
+        # one call per six levels for all rows; round one also takes both
+        # bracket ends, so a row costs 65 + 63 (rounds - 1) points
         calls.clear()
+        points.clear()
         rows = crossing_sweep(0.0, 0.2, 21)
-        assert len(calls) == 21 + math.ceil(max(r.iterations for r in rows) / 6)
+        rounds = [max(1, math.ceil(r.iterations / 6)) for r in rows]
+        assert len(calls) == math.ceil(max(r.iterations for r in rows) / 6)
+        assert sum(points) == sum(65 + 63 * (n - 1) for n in rounds)
 
     def test_memory_bounded_by_chunks(self):
         tracemalloc.start()
@@ -242,17 +287,22 @@ class TestLockStep:
         assert peak < 2_000_000
 
 
+def _feasible(p, q):
+    """Whether Bob still holds at least as much information as Eve."""
+    return info.i_ab(q) >= info.i_ae_optimal(p, q)
+
+
 class TestKeyFeasible:
     def test_reference_points(self):
-        assert key_feasible(0.0, 0.10)
-        assert not key_feasible(0.0, 0.20)
+        assert _feasible(0.0, 0.10)
+        assert not _feasible(0.0, 0.20)
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.3])
     def test_no_interaction_always_feasible(self, p):
-        assert key_feasible(p, p / 2)
+        assert _feasible(p, p / 2)
 
     @pytest.mark.parametrize("p", [0.0, 0.05, 0.15])
     def test_consistent_with_crossing(self, p):
         q_cross = crossing_point(p).q_cross
-        assert key_feasible(p, q_cross - 1e-6)
-        assert not key_feasible(p, q_cross + 1e-6)
+        assert _feasible(p, q_cross - 1e-6)
+        assert not _feasible(p, q_cross + 1e-6)

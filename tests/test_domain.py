@@ -3,7 +3,8 @@
 Every check holds on the lattice ``p = linspace(0, 0.99, 10)`` and, for
 each p, ``q = linspace(p/2, 1/2, 10)``, both q endpoints included, and
 on seeded uniform random points of the domain.  Noise raises the
-threshold over the whole crossing domain.  Every count is refused when
+threshold over the whole crossing domain, and on every search bracket
+Bob's advantage over Eve falls strictly.  Every count is refused when
 it lies above its bound, before anything is allocated, and when it is
 NaN, infinite, beyond the float range or not a whole number; so is a
 noise weight beyond the float range.
@@ -55,6 +56,17 @@ def test_noise_raises_the_threshold():
     assert all(r.margin > 0.0 for r in rows)
     q_cross = [r.q_cross for r in rows]
     assert all(a < b for a, b in zip(q_cross, q_cross[1:]))
+
+
+def test_advantage_strictly_decreasing():
+    # Why the crossing search may certify one crossing on a grid of 65
+    # points: on (0, 1/2), I_AB'(q) = log2(q / (1-q)) < 0 and Eve's optimum
+    # does not decrease in q, so Bob's advantage falls strictly on every
+    # search bracket.  One row at a time keeps the memory small.
+    for p in np.linspace(0.0, 0.5, 501).tolist():
+        q = np.linspace(p / 2.0 + 1e-9, 0.5 - 1e-9, 20_001)
+        steps = np.diff(analysis._advantage(p, q))
+        assert steps.max() < 0.0, (p, steps.max())
 
 
 # Each count: a call taking it, and its largest accepted value.
