@@ -48,7 +48,7 @@ print(f"  max |closed - simulated| = {np.max(np.abs(closed - sim)):.2e}")
 
 print()
 print("What Bob observes:")
-for basis in protocol.BASES:
+for basis in attack.BASES:
     w0, w1 = attack.simulate_bob_flips(iso, P, basis)
     rate = 0.5 * (w0 + w1)
     sym = abs(w1 - w0)

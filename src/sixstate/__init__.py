@@ -2,11 +2,12 @@
 
 Library layout:
 
-- `sixstate.protocol` — six-state signal states with source noise,
-  error-rate bookkeeping and the `(p, q)` domain check.
-- `sixstate.attack` — the constrained probe family, its isometry, and
-  Eve's outcome distribution (closed form and simulated by partial
-  traces over the signal-probe space).
+- `sixstate.protocol` — the `(p, q)` domain check and the error-rate →
+  disturbance conversion.
+- `sixstate.attack` — the six noisy signal states, the constrained probe
+  family, its isometry, and Eve's outcome distribution and Bob's flips
+  (closed form and simulated by partial traces over the signal-probe
+  space).
 - `sixstate.info` — the information quantities and their closed-form
   optima.
 - `sixstate.optimize` — brute-force maximization and stationarity

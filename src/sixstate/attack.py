@@ -10,10 +10,13 @@ produces Eve's outcome distribution both in closed form and by direct
 density-matrix simulation (the latter acts as an independent oracle for
 the former).
 
-This module alone knows the layout of the joint space.  Probe basis
-ordering is |00>, |01>, |10>, |11> (index = 2*left + right); joint
-signal-probe vectors use index = 4*signal + probe, so a joint operator
-reshapes to (signal, probe, signal, probe) axes of sizes (2, 4, 2, 4).
+This module alone knows the signal states and the layout of the joint
+space.  Alice sends the +1 (bit 0) or -1 (bit 1) eigenstate of the
+Pauli operator of one of the `BASES`, and the noisy source emits it as
+``(1 - p) |b><b| + (p / 2) I``.  Probe basis ordering is |00>, |01>,
+|10>, |11> (index = 2*left + right); joint signal-probe vectors use
+index = 4*signal + probe, so a joint operator reshapes to (signal,
+probe, signal, probe) axes of sizes (2, 4, 2, 4).
 """
 
 import dataclasses
@@ -21,12 +24,12 @@ import math
 
 import numpy as np
 
-from . import protocol
 from .exceptions import ConstraintError, DomainError
 from .info import _root, _weights
 from .protocol import check_domain, check_range
 
 __all__ = [
+    "BASES",
     "AttackParameters",
     "AncillaSet",
     "overlap_target",
@@ -45,6 +48,18 @@ __all__ = [
 _NORM_TOL = 1e-12
 # Largest entry of V^dagger V - I an isometry may have.
 _ISO_TOL = 1e-10
+
+#: Measurement bases of the protocol.
+BASES = ("x", "y", "z")
+
+_SQ2 = np.sqrt(2.0)
+
+# Kets of bits 0 and 1 per basis.
+_EIGENSTATES = {
+    "z": (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)),
+    "x": tuple(np.array([1.0, s], dtype=complex) / _SQ2 for s in (1.0, -1.0)),
+    "y": tuple(np.array([1.0, s], dtype=complex) / _SQ2 for s in (1.0j, -1.0j)),
+}
 
 # Eve measures her probe in the computational basis; outcomes are
 # reported in the order |00>, |10>, |01>, |11>.
@@ -313,8 +328,9 @@ def _joint_states(iso, basis, p):
     """``iso rho iso^dagger`` for the noisy basis states of bits 0 and 1.
 
     Each joint operator comes back with (signal, probe, signal, probe)
-    axes of shape (2, 4, 2, 4).  An `iso` of any shape but (8, 2), or
-    whose columns fail the isometry check at 1e-10, raises `DomainError`.
+    axes of shape (2, 4, 2, 4).  Checks in this order, each raising
+    `DomainError`: `iso` has shape (8, 2), its columns pass the isometry
+    check at 1e-10, p lies in [0, 1), and basis is one of `BASES`.
     """
     iso = np.asarray(iso, dtype=complex)
     if iso.shape != (8, 2):
@@ -322,8 +338,12 @@ def _joint_states(iso, basis, p):
     residual = _gram_residual(iso)
     if not residual <= _ISO_TOL:
         raise DomainError(f"isometry columns are not orthonormal: residual {residual}")
-    return [(iso @ protocol.noisy_signal(basis, bit, p) @ iso.conj().T).reshape(2, 4, 2, 4)
-            for bit in (0, 1)]
+    p, _ = check_domain(p, p / 2.0)
+    if basis not in BASES:
+        raise DomainError(f"basis must be one of {BASES}, got {basis!r}")
+    rhos = ((1.0 - p) * np.outer(ket, ket.conj()) + (p / 2.0) * np.eye(2, dtype=complex)
+            for ket in _EIGENSTATES[basis])
+    return [(iso @ rho @ iso.conj().T).reshape(2, 4, 2, 4) for rho in rhos]
 
 
 def simulate_eve_distribution(iso, p):
@@ -333,7 +353,8 @@ def simulate_eve_distribution(iso, p):
     signal through the isometry, traces out the signal, and reads the
     probe populations in the order |00>, |10>, |01>, |11>.  Independent
     oracle for `eve_distribution_closed_form`.  `iso` must be an 8x2
-    isometry, as `build_isometry` returns it, or `DomainError` is raised.
+    isometry, as `build_isometry` returns it, and p must lie in [0, 1),
+    or `DomainError` is raised.
     """
     out = []
     for joint in _joint_states(iso, "z", p):
@@ -349,8 +370,9 @@ def simulate_bob_flips(iso, p, basis):
     qubit, and returns ``(w0, w1)``: the probabilities that Bob reads
     bit 0 as 1 and bit 1 as 0.  Their mean is Bob's error rate, and
     ``|w1 - w0|`` is zero when Alice and Bob see a symmetric error
-    channel in that basis.  `iso` must be an 8x2 isometry, or
-    `DomainError` is raised.
+    channel in that basis.  `iso` must be an 8x2 isometry, p in [0, 1)
+    and basis one of `BASES`, or `DomainError` is raised.
     """
     bob0, bob1 = (np.einsum("ikjk->ij", j) for j in _joint_states(iso, basis, p))
-    return protocol._bob_flips(bob0, bob1, basis)
+    k0, k1 = _EIGENSTATES[basis]
+    return float(np.real(k1.conj() @ bob0 @ k1)), float(np.real(k0.conj() @ bob1 @ k0))

@@ -123,7 +123,7 @@ def cmd_verify(args):
     dist_err = float(max(abs(closed - sim)))
     checks.append(("outcome distribution", dist_err <= 1e-12, f"max diff {dist_err:.3e}"))
 
-    flips = [attack.simulate_bob_flips(iso, p, b) for b in protocol.BASES]
+    flips = [attack.simulate_bob_flips(iso, p, b) for b in attack.BASES]
     qber_err = max(abs(0.5 * (w0 + w1) - q) for w0, w1 in flips)
     checks.append(("error rate all bases", qber_err <= 1e-10, f"max diff {qber_err:.3e}"))
 

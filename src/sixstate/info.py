@@ -103,9 +103,9 @@ def mutual_information(joint):
     Parameters
     ----------
     joint : array-like
-        2-d table ``p(x, y)`` with rows indexed by the first variable.
-        Entries must be nonnegative up to -1e-12 round-off and the total
-        must be 1 within 1e-10.
+        Nonempty 2-d table ``p(x, y)`` with rows indexed by the first
+        variable.  Entries must be real, finite and nonnegative up to
+        -1e-12 round-off, and the total must be 1 within 1e-10.
 
     Returns
     -------
@@ -113,9 +113,13 @@ def mutual_information(joint):
         ``sum p(x,y) log2 p(y|x) - sum p(y) log2 p(y)``, clamped to be
         nonnegative against round-off.
     """
+    if np.iscomplexobj(joint):
+        raise DomainError("joint table has a complex entry")
     p = np.asarray(joint, dtype=float)
-    if p.ndim != 2:
-        raise DomainError(f"joint table must be 2-d, got shape {p.shape}")
+    if p.ndim != 2 or p.size == 0:
+        raise DomainError(f"joint table must be nonempty and 2-d, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise DomainError("joint table has a non-finite entry")
     if float(p.min()) < -_NEG_TOL:
         raise DomainError(f"joint table has negative entry {float(p.min())}")
     p = np.maximum(p, 0.0)

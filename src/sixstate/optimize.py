@@ -110,6 +110,12 @@ def feasible_phase(r_beta_a_sq, r_beta_c_sq, p, q):
     feasibility test (`_feasible`), and None otherwise.  When both gamma
     radii vanish the equation drops the cosine entirely; a
     (conventional) 1.0 is returned iff it already holds.
+
+    The library itself calls `_feasible` and `_phase_cos` on arrays.
+    This scalar wrapper stays public because the optimizer demo, the
+    stationarity acceptance test and two stationarity tests build
+    feasible off-optimum points with it, on the grid's own feasibility
+    rule.
     """
     p, q = check_domain(p, q)
     ba = check_range(r_beta_a_sq, 0.0, 1.0, "squared weight")

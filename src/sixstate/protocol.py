@@ -1,52 +1,27 @@
-"""Six-state signal preparation, source noise and Bob's error rate.
+"""Validators of the noisy six-state protocol's parameters and its q–d relation.
 
-Alice encodes each bit in one of the three mutually unbiased qubit bases
-x, y, z.  A white-noise source replaces her pure state by the mixture
-``(1 - p) |b><b| + (p / 2) I``, so even without an eavesdropper Bob sees
-an error rate of p/2.  An eavesdropper who flips the kept signal with
-probability d raises that to ``q = d (1 - p) + p / 2``.
+A white-noise source emits each signal mixed with weight p of the
+maximally mixed state, so even without an eavesdropper Bob sees an
+error rate of p/2.  An eavesdropper who flips the kept signal with
+probability d raises that to ``q = d (1 - p) + p / 2``; `d_from_qber`
+inverts this relation.  The signal states themselves live in
+`sixstate.attack`.
 
 `check_domain` is the package's one validator of a ``(p, q)`` pair,
 `check_range` its one range check with round-off clamping, and
 `check_count` its one check of a count.
 """
 
-import numpy as np
-
 from .exceptions import DomainError
 
 __all__ = [
-    "BASES",
     "check_range",
     "check_count",
     "check_domain",
-    "pure_signal",
-    "noisy_signal",
     "d_from_qber",
 ]
 
-#: Measurement bases of the protocol.
-BASES = ("x", "y", "z")
-
-_SQ2 = np.sqrt(2.0)
-
-_EIGENSTATES = {
-    ("z", 0): np.array([1.0, 0.0], dtype=complex),
-    ("z", 1): np.array([0.0, 1.0], dtype=complex),
-    ("x", 0): np.array([1.0, 1.0], dtype=complex) / _SQ2,
-    ("x", 1): np.array([1.0, -1.0], dtype=complex) / _SQ2,
-    ("y", 0): np.array([1.0, 1.0j], dtype=complex) / _SQ2,
-    ("y", 1): np.array([1.0, -1.0j], dtype=complex) / _SQ2,
-}
-
 _TOL = 1e-12
-
-
-def _check_basis_bit(basis, bit):
-    if basis not in BASES:
-        raise DomainError(f"basis must be one of {BASES}, got {basis!r}")
-    if bit not in (0, 1):
-        raise DomainError(f"bit must be 0 or 1, got {bit!r}")
 
 
 def _float(x, what):
@@ -101,36 +76,6 @@ def check_domain(p, q):
     if not 0.0 <= p < 1.0:
         raise DomainError(f"noise parameter p={p} outside [0, 1)")
     return p, check_range(q, p / 2.0, 0.5, "error rate q")
-
-
-def pure_signal(basis, bit):
-    """Eigenstate of the Pauli operator for `basis` carrying `bit`.
-
-    Bit 0 maps to the +1 eigenstate, bit 1 to the -1 eigenstate.
-    """
-    _check_basis_bit(basis, bit)
-    return _EIGENSTATES[(basis, bit)].copy()
-
-
-def noisy_signal(basis, bit, p):
-    """Density operator of a signal state mixed with white noise.
-
-    Returns ``(1 - p) |b><b| + (p / 2) I`` for the pure signal ``|b>``,
-    the state the source actually emits at noise level p.
-    """
-    p, _ = check_domain(p, p / 2.0)
-    ket = pure_signal(basis, bit)
-    return (1.0 - p) * np.outer(ket, ket.conj()) + (p / 2.0) * np.eye(2, dtype=complex)
-
-
-def _bob_flips(rho0, rho1, basis):
-    """Bob's two flip probabilities ``<1_b|rho0|1_b>`` and ``<0_b|rho1|0_b>``."""
-    _check_basis_bit(basis, 0)
-    k0 = _EIGENSTATES[(basis, 0)]
-    k1 = _EIGENSTATES[(basis, 1)]
-    wrong0 = float(np.real(k1.conj() @ np.asarray(rho0) @ k1))
-    wrong1 = float(np.real(k0.conj() @ np.asarray(rho1) @ k0))
-    return wrong0, wrong1
 
 
 def _disturbance(q, p):

@@ -82,7 +82,7 @@ def test_acceptance_4_oracle_equivalence():
         closed = attack.eve_distribution_closed_form(params)
         sim = attack.simulate_eve_distribution(iso, p)
         worst_m = max(worst_m, float(np.max(np.abs(closed - sim))))
-        for basis in protocol.BASES:
+        for basis in attack.BASES:
             w0, w1 = attack.simulate_bob_flips(iso, p, basis)
             worst_q = max(worst_q, abs(0.5 * (w0 + w1) - q))
     elapsed = time.perf_counter() - start

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sixstate import protocol
+from sixstate import attack, protocol
 from sixstate.attack import (
+    BASES,
     AncillaSet,
     AttackParameters,
     antiphase_parameters,
@@ -26,6 +27,13 @@ ORACLE_GRID = [
     for p in (0.0, 0.01, 0.05, 0.1, 0.2)
     for q in np.linspace(p / 2 + 0.01, 0.45, 5)
 ]
+
+
+PAULI = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def is_isometry(v):
@@ -245,14 +253,14 @@ class TestEveDistribution:
 
 
 class TestSimulateQber:
-    @pytest.mark.parametrize("basis", protocol.BASES)
+    @pytest.mark.parametrize("basis", BASES)
     def test_identity_like_attack(self, basis):
         e = np.eye(4, dtype=complex)
         anc = AncillaSet(a=e[1], b=e[0], c=e[1], d=e[3])
         iso = build_isometry(0.0, anc)
         assert simulated_qber(iso, 0.1, basis) == pytest.approx(0.05)
 
-    @pytest.mark.parametrize("basis", protocol.BASES)
+    @pytest.mark.parametrize("basis", BASES)
     def test_reference_point(self, basis):
         p, q = 0.1, 0.23
         assert protocol.d_from_qber(q, p) == pytest.approx(0.2)
@@ -267,7 +275,7 @@ class TestSimulateQber:
     @pytest.mark.parametrize("p,q", ORACLE_GRID)
     def test_basis_independence(self, p, q):
         iso = isometry_for(optimal_parameters(p, q))
-        rates = [simulated_qber(iso, p, b) for b in protocol.BASES]
+        rates = [simulated_qber(iso, p, b) for b in BASES]
         assert max(rates) - min(rates) < 1e-10
         assert rates[0] == pytest.approx(q, abs=1e-10)
 
@@ -276,7 +284,7 @@ class TestBobSymmetry:
     @pytest.mark.parametrize("p,q", ORACLE_GRID)
     def test_constrained_attack_symmetric(self, p, q):
         iso = isometry_for(optimal_parameters(p, q))
-        for basis in protocol.BASES:
+        for basis in BASES:
             assert symmetry_residual(iso, p, basis) < 1e-12
 
     def test_identity_attack_symmetric(self):
@@ -314,11 +322,11 @@ class TestJointLayout:
         vec = rng.normal(size=4) + 1j * rng.normal(size=4)
         return vec / np.linalg.norm(vec)
 
-    @pytest.mark.parametrize("p", [0.0, 0.1, 0.7])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.7])
     def test_product_isometry_leaves_bob_the_noise(self, probe, p):
         iso = self.product_isometry(probe)
         assert is_isometry(iso)
-        for basis in protocol.BASES:
+        for basis in BASES:
             w0, w1 = simulate_bob_flips(iso, p, basis)
             assert w0 == pytest.approx(p / 2, abs=1e-14)
             assert w1 == pytest.approx(p / 2, abs=1e-14)
@@ -329,6 +337,17 @@ class TestJointLayout:
         expected = np.tile(pops[[0, 2, 1, 3]], 2)
         sim = simulate_eve_distribution(self.product_isometry(probe), p)
         assert np.allclose(sim, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.9])
+    def test_copying_probe_reads_the_source_spectrum(self, p):
+        # |k> -> |k> (x) |kk>: the probe records Alice's z value, so Eve's
+        # populations are the eigenvalues 1 - p/2 and p/2 of the noisy state
+        v = np.zeros((8, 2), dtype=complex)
+        v[0, 0] = 1.0
+        v[7, 1] = 1.0
+        hi, lo = 1 - p / 2, p / 2
+        sim = simulate_eve_distribution(v, p)
+        assert np.allclose(sim, [hi, 0, 0, lo, lo, 0, 0, hi], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("shape", [(4, 2), (2, 8)])
     def test_wrong_shape_refused(self, shape):
@@ -346,3 +365,42 @@ class TestJointLayout:
             simulate_eve_distribution(iso, 0.1)
         with pytest.raises(DomainError, match="not orthonormal"):
             simulate_bob_flips(iso, 0.1, "z")
+
+
+class TestSignalStates:
+    """Alice's kets and the simulators' checks of p and basis."""
+
+    @pytest.fixture
+    def iso(self):
+        return isometry_for(optimal_parameters(0.05, 0.1))
+
+    def test_bases_tuple(self):
+        assert BASES == ("x", "y", "z")
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_kets_are_pauli_eigenvectors(self, basis):
+        # bit 0 is the +1 eigenvector, bit 1 the -1 eigenvector
+        for ket, sign in zip(attack._EIGENSTATES[basis], (1, -1)):
+            assert np.vdot(ket, ket).real == pytest.approx(1.0, abs=1e-15)
+            assert np.allclose(PAULI[basis] @ ket, sign * ket, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_basis_states_orthonormal(self, basis):
+        kets = attack._EIGENSTATES[basis]
+        gram = np.array([[np.vdot(a, b) for b in kets] for a in kets])
+        assert np.allclose(gram, np.eye(2), rtol=0, atol=1e-15)
+
+    def test_unknown_basis_refused(self, iso):
+        with pytest.raises(DomainError, match="basis must be one of"):
+            simulate_bob_flips(iso, 0.1, "w")
+
+    @pytest.mark.parametrize("p", [1.0, -0.1])
+    def test_p_outside_range_refused(self, iso, p):
+        with pytest.raises(DomainError, match="noise parameter p"):
+            simulate_eve_distribution(iso, p)
+        with pytest.raises(DomainError, match="noise parameter p"):
+            simulate_bob_flips(iso, p, "z")
+
+    def test_bad_p_named_before_bad_basis(self, iso):
+        with pytest.raises(DomainError, match=r"noise parameter p=1\.5 outside"):
+            simulate_bob_flips(iso, 1.5, "w")

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from sixstate import analysis, attack, cli, info, optimize, protocol
-from sixstate.exceptions import DomainError
+from sixstate.exceptions import ConstraintError, DomainError
 
 
 _LATTICE_P = np.linspace(0.0, 0.99, 10).tolist()
@@ -46,6 +46,14 @@ def test_all_checks_hold(points, capsys):
         assert res.residual_norm <= 1e-12, (p, q)
         if q > p / 2.0:
             assert optimize.verify_root_pair(p, q), (p, q)
+
+
+@pytest.mark.xfail(strict=True, raises=ConstraintError,
+                   reason="the (p, q) forms of _weights, overlap_target and _root "
+                          "cancel as p -> 1; the outcome quadruple sums to 1 + 5.6e-12")
+def test_verify_near_full_noise(capsys):
+    assert cli.main(["verify", "--p", "0.99999", "--q", "0.5"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_noise_raises_the_threshold():

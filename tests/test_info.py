@@ -181,6 +181,18 @@ class TestMutualInformation:
         with pytest.raises(DomainError):
             mutual_information(np.array([[0.6, -0.1], [0.3, 0.2]]))
 
+    @pytest.mark.parametrize("joint", [
+        [[0.5, np.nan], [0.25, 0.25]],
+        np.full((2, 2), np.nan),
+        [[0.5, 0.0], [0.0, 0.5 + 0.5j]],
+        np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex),
+        np.empty((0, 3)),
+    ], ids=["one-nan", "all-nan", "complex-entry", "complex-array", "empty"])
+    def test_rejects_malformed_table(self, joint):
+        # NaN, complex and empty tables are not probability tables
+        with pytest.raises(DomainError):
+            mutual_information(joint)
+
 
 class TestIAB:
     def test_endpoints_exact(self):
