@@ -1,7 +1,32 @@
+import numpy as np
 import pytest
 
+from sixstate import attack
+from sixstate.attack import BASES, simulate_bob_flips
 from sixstate.exceptions import DomainError
 from sixstate.protocol import d_from_qber
+
+# |k> -> |k> (x) |00>: no attack, the signal reaches Bob untouched
+_NO_ATTACK = np.zeros((8, 2), dtype=complex)
+_NO_ATTACK[0, 0] = 1.0
+_NO_ATTACK[4, 1] = 1.0
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_noisy_signal_zero_noise_is_pure(basis):
+    vec = attack._EIGENSTATES[basis][1]
+    _, joint1 = attack._joint_states(_NO_ATTACK, basis, 0.0)
+    bob1 = np.einsum("ikjk->ij", joint1)
+    assert np.allclose(bob1, np.outer(vec, vec.conj()))
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
+def test_qber_of_undisturbed_noisy_states(basis, p):
+    # without any attack the only errors come from the source noise
+    w0, w1 = simulate_bob_flips(_NO_ATTACK, p, basis)
+    assert w0 == pytest.approx(p / 2)
+    assert w1 == pytest.approx(p / 2)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.2])
