@@ -225,7 +225,10 @@ def _crossings(ps, tol):
     built from adjacent bracket ends by that same expression; each row
     then walks its own path through them.  So every bracket, count and
     result equals one-at-a-time bisection bit for bit, and a row whose
-    next step would stop costs no call after round one.
+    next step would stop costs no call after round one.  A call with one
+    live row (a one-point sweep, `crossing_point`, or the one row of a
+    chunk still bisecting) passes its p as a Python float, so the kernel's
+    p-only terms stay scalars; more rows pass a column of p.
 
     Round one takes every row, and its call also evaluates both bracket
     ends: the 65 signs certify one crossing, and each later round checks
@@ -255,8 +258,8 @@ def _crossings(ps, tol):
             for k in range(_LEVELS):
                 s = width >> (k + 1)
                 edges[:, s::2 * s] = 0.5 * (edges[:, : -s : 2 * s] + edges[:, 2 * s :: 2 * s])
-            p_col = np.array([ps[i] for i in live])[:, None]
-            values = _advantage(p_col, edges if first else edges[:, 1:-1])
+            p_live = ps[live[0]] if len(live) == 1 else np.array([ps[i] for i in live])[:, None]
+            values = _advantage(p_live, edges if first else edges[:, 1:-1])
             _certify(ps, live, edges, values, first)
             ahead = values[:, 1:-1] > 0.0 if first else values > 0.0
             for i, row, row_ahead in zip(live, edges.tolist(), ahead.tolist()):

@@ -4,10 +4,18 @@ All logarithms are base 2 and ``0 log 0`` is taken to be 0.  Throughout,
 p is the white-noise weight of the source and q is Bob's observed error
 rate; the physical domain is ``0 <= p < 1`` and ``p/2 <= q <= 1/2``.
 
-Eve's outcome weights are written once, in `_weights`, and her
-information once, in `_i_ae`.  Both broadcast over numpy arrays and
-check nothing; each public function validates its scalar arguments and
-then calls them, and `sixstate.analysis` calls them on whole grids.
+Eve's outcome weights are written once, in `_weights`.  Her information
+has two kernels, written apart: `_i_ae` for any four squared probe
+weights, which the grid search of `sixstate.optimize` maximizes, and
+`_i_ae_aligned`, the paper's closed form on the aligned-phase branch,
+behind `i_ae_closed_form`, `i_ae_optimal` and the sweeps of
+`sixstate.analysis`.  At aligned weights the two agree to round-off
+(within 2e-15 on a 96 by 2,001 domain lattice in tests/test_info.py), so
+the grid search's agreement with the closed form tests the paper's
+formula, not one kernel against itself.  The kernels broadcast over
+numpy arrays and check nothing; each public function validates its
+scalar arguments and then calls them, and `sixstate.analysis` calls them
+on whole grids.
 
 On arrays these kernels and `_xlog2`/`_tau` are computed in place: each
 creates one fresh result and applies the remaining steps to it, every
@@ -103,9 +111,10 @@ def mutual_information(joint):
     Parameters
     ----------
     joint : array-like
-        Nonempty 2-d table ``p(x, y)`` with rows indexed by the first
-        variable.  Entries must be real, finite and nonnegative up to
-        -1e-12 round-off, and the total must be 1 within 1e-10.
+        Nonempty, rectangular 2-d table ``p(x, y)`` with rows indexed by
+        the first variable.  Entries must be real numbers (not strings or
+        other objects), finite and nonnegative up to -1e-12 round-off,
+        and the total must be 1 within 1e-10.
 
     Returns
     -------
@@ -113,9 +122,15 @@ def mutual_information(joint):
         ``sum p(x,y) log2 p(y|x) - sum p(y) log2 p(y)``, clamped to be
         nonnegative against round-off.
     """
-    if np.iscomplexobj(joint):
+    try:
+        p = np.asarray(joint)
+    except ValueError:
+        raise DomainError("joint table is ragged, not a rectangular array") from None
+    if p.dtype.kind == "c":
         raise DomainError("joint table has a complex entry")
-    p = np.asarray(joint, dtype=float)
+    if p.dtype.kind not in "biuf":
+        raise DomainError(f"joint table entries must be real numbers, got dtype {p.dtype}")
+    p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.size == 0:
         raise DomainError(f"joint table must be nonempty and 2-d, got shape {p.shape}")
     if not np.isfinite(p).all():
@@ -183,7 +198,22 @@ def beta_sq_optimal(p, q, branch="plus"):
 
 
 def _i_ae_aligned(p, q, beta_sq):
-    return _i_ae(p, q, beta_sq, 1.0 - beta_sq, 1.0 - beta_sq, beta_sq)
+    """The paper's closed form, `i_ae_closed_form`; broadcasts, checks nothing.
+
+    ``1 + pref h(x) + d h(p/2)`` with ``x = (1 - p) beta_sq + p/2``,
+    ``h(x) = x log2 x + (1 - x) log2 (1 - x)`` and pref and d as in
+    `_weights`.  This is `_i_ae` at the weights ``(beta_sq, 1 - beta_sq,
+    1 - beta_sq, beta_sq)``, evaluated apart from it.  beta_sq holds the
+    shape into which p and q broadcast.
+    """
+    half = p / 2.0
+    x = (1.0 - p) * beta_sq + half
+    s = _xlog2(x)
+    s += _xlog2(1.0 - x)
+    s *= (1.0 - half - q) / (1.0 - p)
+    s += 1.0
+    s += _disturbance(q, p) * (_xlog2(half) + _xlog2(1.0 - half))
+    return s
 
 
 def i_ae_closed_form(p, q, beta_sq):

@@ -197,6 +197,25 @@ class TestLockStep:
         want = [_crossing_loop(p, tol) for p in ps]
         assert repr([crossing_point(p, tol=tol) for p in ps]) == repr(want)
         assert repr(crossing_sweep(0.0, 0.5, 41, tol=tol)) == repr(want)
+        # a one-point sweep, which takes the scalar-p path, gives the same row
+        assert repr([crossing_sweep(p, p, 1, tol=tol)[0] for p in ps]) == repr(want)
+
+    def test_lone_live_row_takes_scalar_p(self, monkeypatch):
+        # a lone live row (a one-point sweep, crossing_point, or a chunk of
+        # one, as the 65th row is) gets p as a Python float; more get a column
+        calls = []
+        advantage = analysis._advantage
+        def recorded(p, q):
+            calls.append((p, np.shape(q)[0]))
+            return advantage(p, q)
+        monkeypatch.setattr(analysis, "_advantage", recorded)
+        crossing_sweep(0.3, 0.3, 1)
+        assert calls and all(type(p) is float and p == 0.3 for p, _ in calls)
+        calls.clear()
+        rows = crossing_sweep(0.0, 0.2, 65)
+        lone = [p for p, n in calls if n == 1]
+        assert lone and all(type(p) is float and p == rows[64].p for p in lone)
+        assert all(np.shape(p) == (n, 1) for p, n in calls if n > 1)
 
     @staticmethod
     def stand_in(no_change, several):

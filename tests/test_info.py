@@ -61,6 +61,15 @@ def _i_ae_reference(p, q, ba, bc, ga, gc):
             + d * _tau_reference(1.0 - half, half))
 
 
+def _i_ae_aligned_reference(p, q, beta_sq):
+    half = p / 2.0
+    x = (1.0 - p) * beta_sq + half
+    d = (q - p / 2.0) / (1.0 - p)
+    pref = (1.0 - half - q) / (1.0 - p)
+    return (1.0 + pref * (_xlog2_reference(x) + _xlog2_reference(1.0 - x))
+            + d * (_xlog2_reference(half) + _xlog2_reference(1.0 - half)))
+
+
 def _crossing_shape():
     """p down the rows against a (rows, 63) q, as the crossing search calls it."""
     p = np.linspace(0.0, 0.5, 7)[:, None]
@@ -103,12 +112,21 @@ _I_AES = {
     "0d_arrays": tuple(np.array(v) for v in (0.1, 0.05, 0.5, 0.5, 0.5, 0.5)),
     "crossing_shape": _crossing_shape(),
 }
+_I_AE_ALIGNEDS = {
+    "python_floats": (0.05, 0.12, 0.8),
+    "python_edges": (0.0, 0.5, 1.0),
+    "float64": tuple(np.float64(v) for v in (0.1, 0.3, 0.6)),
+    "0d_arrays": tuple(np.array(v) for v in (0.1, 0.05, 0.5)),
+    "curve_shape": (0.3, np.linspace(0.15, 0.5, 9), np.linspace(0.5, 1.0, 9)),
+    "crossing_shape": _crossing_shape()[:3],
+}
 _KERNELS = [
     pytest.param(kernel, reference, args, id=f"{name}-{case}")
     for name, kernel, reference, cases in [
         ("xlog2", _xlog2, _xlog2_reference, _XS),
         ("tau", _tau, _tau_reference, _TAUS),
         ("i_ae", _i_ae, _i_ae_reference, _I_AES),
+        ("i_ae_aligned", info._i_ae_aligned, _i_ae_aligned_reference, _I_AE_ALIGNEDS),
     ]
     for case, args in cases.items()
 ]
@@ -187,9 +205,12 @@ class TestMutualInformation:
         [[0.5, 0.0], [0.0, 0.5 + 0.5j]],
         np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex),
         np.empty((0, 3)),
-    ], ids=["one-nan", "all-nan", "complex-entry", "complex-array", "empty"])
+        [[0.5], [0.25, 0.25]],
+        [["0.5", "0"], ["0", "0.5"]],
+    ], ids=["one-nan", "all-nan", "complex-entry", "complex-array", "empty", "ragged",
+            "strings"])
     def test_rejects_malformed_table(self, joint):
-        # NaN, complex and empty tables are not probability tables
+        # NaN, complex, empty, ragged and string tables are not probability tables
         with pytest.raises(DomainError):
             mutual_information(joint)
 
@@ -262,6 +283,23 @@ class TestIAEOptimal:
         qs = np.linspace(p / 2, 0.5, 60)
         vals = [i_ae_optimal(p, q) for q in qs]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_matches_general_kernel_on_domain_lattice():
+    # The paper's closed form (_i_ae_aligned) and the grid's four-weight
+    # kernel (_i_ae) are evaluated apart; on 96 p by 2,001 q they agree to
+    # round-off at both roots, and the two roots give the same value.
+    p = np.linspace(0.0, 0.95, 96)[:, None]
+    q = p / 2.0 + np.linspace(0.0, 1.0, 2001) * (0.5 - p / 2.0)
+    values = []
+    for sign in (1.0, -1.0):
+        b = info._beta_sq(p, q, sign)
+        closed = info._i_ae_aligned(p, q, b)
+        assert closed.shape == q.shape
+        assert np.abs(closed - _i_ae(p, q, b, 1.0 - b, 1.0 - b, b)).max() <= 2e-15
+        values.append(closed)
+    assert np.abs(values[0] - values[1]).max() <= 2e-15
 
 
 class TestIAEAntiphase:
