@@ -33,8 +33,8 @@ PURE_CROSSING_D = 0.15637
 
 # The crossing search brackets stay this far inside the open interval.
 _EDGE = 1e-9
-# Largest sweep sizes: they bound memory (one CurvePoint per curve step)
-# and run time (one bisection per crossing step).
+# Largest sweep sizes: they bound memory (one row of seven floats and one
+# CSV line per curve step) and run time (one bisection per crossing step).
 _MAX_CURVE_STEPS = 100_000
 _MAX_CROSSING_STEPS = 10_000
 # Bisection levels per kernel call, and rows per kernel call.  Six levels
@@ -99,11 +99,20 @@ def curve_sweep(p, steps=200):
     -------
     list of CurvePoint
     """
-    p, _ = check_domain(p, p / 2.0)
+    return [CurvePoint(*row) for row in _curve_rows(p, steps)]
+
+
+def _curve_rows(p, steps):
+    """The rows of `curve_sweep`, as an iterator of float tuples in field order.
+
+    p and steps are checked before it returns.  The CLI writes these
+    tuples straight to CSV, without a CurvePoint per row.
+    """
+    p, _ = check_domain(p, 0.5)
     steps = check_count(steps, 2, _MAX_CURVE_STEPS, "steps")
     qs = np.linspace(p / 2.0, 0.5, steps)
     i_ab = _i_ab(qs).tolist()
-    columns = zip(
+    return zip(
         qs.tolist(),
         i_ab,
         _i_ae_optimal(p, qs).tolist(),
@@ -112,7 +121,6 @@ def curve_sweep(p, steps=200):
         _i_ae_optimal(0.0, qs).tolist(),
         _beta_sq(p, qs, 1.0).tolist(),
     )
-    return [CurvePoint(*row) for row in columns]
 
 
 def _advantage(p, q):

@@ -42,27 +42,26 @@ def _write_lines(path, lines):
             fh.write(text)
 
 
-def _csv(header, records):
-    """The header line, then one line per record of its header-named fields.
+def _csv(header, rows):
+    """The header line, then one line per row: a tuple of floats in header order.
 
     Each row is one ``%`` operation on a ``%.9g,...`` template, which for a
     float gives exactly the string `_fmt` gives.
     """
-    names = header.split(",")
-    fields = operator.attrgetter(*names)
-    row = ",".join(["%.9g"] * len(names))
-    return [header] + [row % fields(rec) for rec in records]
+    template = ",".join(["%.9g"] * len(header.split(",")))
+    return [header] + [template % row for row in rows]
 
 
 def cmd_curves(args):
-    points = analysis.curve_sweep(args.p, args.steps)
-    _write_lines(args.out, _csv(CURVES_HEADER, points))
+    rows = analysis._curve_rows(args.p, args.steps)
+    _write_lines(args.out, _csv(CURVES_HEADER, rows))
     return 0
 
 
 def cmd_crossing(args):
     results = analysis.crossing_sweep(args.p_min, args.p_max, args.steps, args.tol)
-    _write_lines(args.out, _csv(CROSSING_HEADER, results))
+    fields = operator.attrgetter(*CROSSING_HEADER.split(","))
+    _write_lines(args.out, _csv(CROSSING_HEADER, map(fields, results)))
     return 0
 
 

@@ -25,11 +25,19 @@ _TOL = 1e-12
 
 
 def _float(x, what):
-    """float(x), refusing an integer beyond the float range."""
+    """float(x), refusing text and anything float() refuses.
+
+    Text (str, bytes, bytearray, and so numpy string scalars) is refused
+    before float() can parse it, as is an integer beyond the float range.
+    """
+    if isinstance(x, (str, bytes, bytearray)):
+        raise DomainError(f"{what} is text ({type(x).__name__}), not a number")
     try:
         return float(x)
     except OverflowError:
         raise DomainError(f"{what} is beyond the float range") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} of type {type(x).__name__} is not a real number") from None
 
 
 def check_range(x, lo, hi, what):
@@ -39,7 +47,7 @@ def check_range(x, lo, hi, what):
     ------
     DomainError
         If x is NaN or lies outside [lo, hi] by more than 1e-12, or is an
-        integer beyond the float range.
+        integer beyond the float range, text, or not a real number.
     """
     x = _float(x, what)
     if not lo - _TOL <= x <= hi + _TOL:
@@ -70,7 +78,8 @@ def check_domain(p, q):
     ------
     DomainError
         If p is outside [0, 1) or q outside [p/2, 1/2] by more than
-        1e-12, or either is NaN or an integer beyond the float range.
+        1e-12, or either is NaN, an integer beyond the float range, text,
+        or not a real number.
     """
     p = _float(p, "noise parameter p")
     if not 0.0 <= p < 1.0:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -67,9 +68,33 @@ class TestCurves:
 @pytest.mark.parametrize("cast", [float, np.float64], ids=["float", "float64"])
 def test_csv_row_template_matches_fmt(cast):
     values = [-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 1 / 3, math.inf, math.nan]
-    rows = [[cast(v) for v in (values[k:] + values[:k])[:7]] for k in range(len(values))]
-    lines = cli._csv(cli.CURVES_HEADER, [analysis.CurvePoint(*row) for row in rows])
+    rows = [tuple(cast(v) for v in (values[k:] + values[:k])[:7]) for k in range(len(values))]
+    lines = cli._csv(cli.CURVES_HEADER, rows)
     assert lines == [cli.CURVES_HEADER] + [",".join(map(cli._fmt, row)) for row in rows]
+
+
+def test_headers_name_record_fields():
+    # _csv writes rows by position, so the curves header must list the
+    # CurvePoint fields in order; the crossing columns are picked by name.
+    curve_fields = [f.name for f in dataclasses.fields(analysis.CurvePoint)]
+    assert cli.CURVES_HEADER.split(",") == curve_fields
+    crossing_fields = {f.name for f in dataclasses.fields(analysis.CrossingResult)}
+    assert set(cli.CROSSING_HEADER.split(",")) <= crossing_fields
+
+
+_SEEDED_P = np.random.default_rng(1414).uniform(0.0, 0.999, 20).tolist()
+
+
+@pytest.mark.parametrize(
+    "p, steps", [(0.0, 2), (0.05, 3), (0.949, 1001)] + [(p, 200) for p in _SEEDED_P])
+def test_curves_stdout_matches_curve_sweep(p, steps, capsys):
+    assert cli.main(["curves", "--p", repr(p), "--steps", str(steps)]) == 0
+    names = cli.CURVES_HEADER.split(",")
+    expected = [cli.CURVES_HEADER] + [
+        ",".join(cli._fmt(getattr(pt, name)) for name in names)
+        for pt in analysis.curve_sweep(p, steps)
+    ]
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 class TestCrossing:

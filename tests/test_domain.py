@@ -7,7 +7,8 @@ threshold over the whole crossing domain, and on every search bracket
 Bob's advantage over Eve falls strictly.  Every count is refused when
 it lies above its bound, before anything is allocated, and when it is
 NaN, infinite, beyond the float range or not a whole number; so is a
-noise weight beyond the float range.
+noise weight beyond the float range.  Text, None, complex numbers and
+lists are refused as scalars, even where float() could parse them.
 """
 
 import math
@@ -129,3 +130,35 @@ def test_whole_count_of_any_type_accepted(value):
 def test_noise_beyond_float_range_refused(call):
     with pytest.raises(DomainError):
         call(10 ** 400, 0.1)
+
+
+# Each scalar entry point, called with one argument in place of a number,
+# and a number that argument takes.
+_SCALAR_CALLS = {
+    "i_ab": (info.i_ab, 0.1),
+    "i_ae_optimal": (lambda x: info.i_ae_optimal(x, 0.2), 0.1),
+    "beta_sq_optimal": (lambda x: info.beta_sq_optimal(0.05, x), 0.1),
+    "crossing_point": (analysis.crossing_point, 0.1),
+    "crossing_sweep": (lambda x: analysis.crossing_sweep(x, 0.2), 0.1),
+    "curve_sweep": (analysis.curve_sweep, 0.1),
+    "grid": (lambda x: optimize.grid_refine_maximize(0.05, 0.1, grid=x), 51),
+}
+# Stand-ins for a number n: its text, which float() would parse, and
+# values float() refuses.
+_NON_NUMBERS = {
+    "str": str,
+    "bytes": lambda n: str(n).encode(),
+    "numpy_str": lambda n: np.str_(n),
+    "abc": lambda n: "abc",
+    "None": lambda n: None,
+    "complex": lambda n: 1j,
+    "list": lambda n: [n],
+}
+
+
+@pytest.mark.parametrize("value", list(_NON_NUMBERS))
+@pytest.mark.parametrize("call", list(_SCALAR_CALLS))
+def test_non_number_refused(call, value):
+    call, number = _SCALAR_CALLS[call]
+    with pytest.raises(DomainError):
+        call(_NON_NUMBERS[value](number))
