@@ -39,8 +39,9 @@ _FEAS_SLACK = 1e-12
 # Residual cut separating true overlap-boundary roots from the spurious
 # roots introduced by squaring the boundary equation.
 _BOUNDARY_CUT = 1e-9
-# Largest lattice size per axis; grid_refine_maximize holds grid^2 points
-# and their arrays per round.
+# Largest lattice size per axis; grid_refine_maximize holds grid x grid
+# products and candidates per round, ~335 MB at the peak of a round at
+# 2001 (tracemalloc, at p = 0.2, q = 0.3).
 _MAX_GRID = 2001
 # Most refinement rounds.  Each costs one lattice sweep; on 20 random (p, q)
 # at grid 201, no result changed after round 14.
@@ -111,11 +112,11 @@ def feasible_phase(r_beta_a_sq, r_beta_c_sq, p, q):
     radii vanish the equation drops the cosine entirely; a
     (conventional) 1.0 is returned iff it already holds.
 
-    The library itself calls `_feasible` and `_phase_cos` on arrays.
-    This scalar wrapper stays public because the optimizer demo, the
-    stationarity acceptance test and two stationarity tests build
-    feasible off-optimum points with it, on the grid's own feasibility
-    rule.
+    The grid search calls `_feasible` on arrays and the scalar-only
+    `_phase_cos` once, on its best point.  This wrapper stays public
+    because the optimizer demo, the stationarity acceptance test and
+    two stationarity tests build feasible off-optimum points with it,
+    on the grid's own feasibility rule.
     """
     p, q = check_domain(p, q)
     ba = check_range(r_beta_a_sq, 0.0, 1.0, "squared weight")
@@ -172,7 +173,10 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     shrinks by a factor of 10 around the best point, refine_iters
     times.  Deterministic: ties go to the earliest candidate in scan
     order, and of the two symmetric maximizers the one with the larger
-    beta_a_sq is reported.
+    beta_a_sq is reported.  A round scans the feasible lattice points
+    row by row (beta_a_sq outer, beta_c_sq inner), then the boundary
+    points above each beta_a_sq value, then those beside each
+    beta_c_sq value, each set in axis order.
 
     Parameters
     ----------
@@ -186,6 +190,13 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     Returns
     -------
     OptimizationResult
+
+    Raises
+    ------
+    ConstraintError
+        If round 0 holds no feasible point.  The corner (0, 0) is
+        feasible unless the overlap target rounds above 1 + 1e-12,
+        which happens only near q = p/2 as p -> 1.
     """
     p, q = check_domain(p, q)
     grid = check_count(grid, 51, _MAX_GRID, "grid")
@@ -200,22 +211,26 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     for _ in range(refine_iters + 1):
         av = np.linspace(lo_a, hi_a, grid)
         cv = np.linspace(lo_c, hi_c, grid)
-        aa, cc = np.meshgrid(av, cv, indexing="ij")
-        aa = aa.ravel()
-        cc = cc.ravel()
+        # Row i of the lattice mask is a = av[i]; masking it row-major
+        # keeps the scan order of the flattened (a, c) lattice.
+        lattice = _feasible(t, *_products(av[:, None], cv))
         ba_bound, bc_bound = _boundary_candidates(t, av, lo_c, hi_c)
         bc_bound2, ba_bound2 = _boundary_candidates(t, cv, lo_a, hi_a)
-        aa = np.concatenate([aa, ba_bound, ba_bound2])
-        cc = np.concatenate([cc, bc_bound, bc_bound2])
+        ab = np.concatenate([ba_bound, ba_bound2])
+        cb = np.concatenate([bc_bound, bc_bound2])
+        keep = _feasible(t, *_products(ab, cb))
+        fa = np.concatenate([np.repeat(av, lattice.sum(axis=1)), ab[keep]])
+        fc = np.concatenate([np.broadcast_to(cv, lattice.shape)[lattice], cb[keep]])
 
-        # Round 0 always holds the feasible corner (0, 0), where pb = 0 and
-        # pg = 1, so only a refined window can come up empty.
-        pb, pg = _products(aa, cc)
-        feasible = _feasible(t, pb, pg)
-        if not np.any(feasible):
+        # Round 0 holds the corner (0, 0), where pb = 0 and pg = 1, so it
+        # is feasible whenever t <= 1 + 1e-12; only t rounding further
+        # above 1 (p -> 1, q = p/2) or a refined window can come up empty.
+        if not fa.size:
+            if best_j is None:
+                raise ConstraintError(
+                    f"no feasible lattice point in round 0 (overlap target t = {t!r})"
+                )
             break
-        fa = aa[feasible]
-        fc = cc[feasible]
         vals = _objective(p, q, fa, fc)
         evaluations += vals.size
         k = int(np.argmax(vals))

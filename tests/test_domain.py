@@ -57,6 +57,14 @@ def test_verify_near_full_noise(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.xfail(strict=True, raises=ConstraintError,
+                   reason="overlap_target rounds to 1 + 5.6e-10 at q = p/2, so no "
+                          "point of the first lattice, not even (0, 0), is feasible")
+def test_optimize_near_full_noise(capsys):
+    assert cli.main(["optimize", "--p", "0.9999999", "--q", "0.49999995"]) == 0
+    assert "i_ae_grid" in capsys.readouterr().out
+
+
 def test_noise_raises_the_threshold():
     # Noise on Alice's side raises the threshold above the straight line,
     # as noisy preprocessing does (Kraus, Gisin & Renner, PRL 95, 080501).

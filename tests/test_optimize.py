@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,8 +250,87 @@ def _local_max_runs_loop(values):
     return out
 
 
+def _grid_refine_mesh(p, q, grid=201, refine_iters=6):
+    """Raveled-mesh reference for `grid_refine_maximize`.
+
+    Each round builds the whole lattice with `meshgrid`, ravels it,
+    appends both boundary sets and masks the concatenation once; its
+    products and mask stay alive through the objective call.
+    """
+    t = attack.overlap_target(p, q)
+    lo_a, hi_a, lo_c, hi_c = 0.0, 1.0, 0.0, 1.0
+    best_a = best_c = best_j = None
+    evaluations = 0
+    for _ in range(refine_iters + 1):
+        av = np.linspace(lo_a, hi_a, grid)
+        cv = np.linspace(lo_c, hi_c, grid)
+        aa, cc = np.meshgrid(av, cv, indexing="ij")
+        aa = aa.ravel()
+        cc = cc.ravel()
+        ba_bound, bc_bound = optimize._boundary_candidates(t, av, lo_c, hi_c)
+        bc_bound2, ba_bound2 = optimize._boundary_candidates(t, cv, lo_a, hi_a)
+        aa = np.concatenate([aa, ba_bound, ba_bound2])
+        cc = np.concatenate([cc, bc_bound, bc_bound2])
+        pb, pg = optimize._products(aa, cc)
+        feasible = optimize._feasible(t, pb, pg)
+        if not np.any(feasible):
+            break
+        fa = aa[feasible]
+        fc = cc[feasible]
+        vals = optimize._objective(p, q, fa, fc)
+        evaluations += vals.size
+        k = int(np.argmax(vals))
+        cand = (float(fa[k]), float(fc[k]), float(vals[k]))
+        if best_j is None or cand[2] > best_j:
+            best_a, best_c, best_j = cand
+        if best_a < 0.5:
+            mirror_j = float(optimize._objective(p, q, 1.0 - best_a, 1.0 - best_c))
+            evaluations += 1
+            if mirror_j >= best_j:
+                best_a, best_c, best_j = 1.0 - best_a, 1.0 - best_c, mirror_j
+        span_a, span_c = (hi_a - lo_a) / 10.0, (hi_c - lo_c) / 10.0
+        lo_a, hi_a = max(0.0, best_a - span_a / 2.0), min(1.0, best_a + span_a / 2.0)
+        lo_c, hi_c = max(0.0, best_c - span_c / 2.0), min(1.0, best_c + span_c / 2.0)
+    cos = optimize._phase_cos(t, *optimize._products(best_a, best_c))
+    params = attack.parameters_from_squares(p, q, best_a, best_c, cos)
+    branch = "phase0" if cos >= 0.0 else "phasepi"
+    return optimize.OptimizationResult(params, best_j, branch, evaluations)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _mesh_points():
+    rng = np.random.default_rng(15)
+    p = rng.uniform(0.0, 0.999, 30)
+    seeded = list(zip(p.tolist(), rng.uniform(p / 2.0, 0.5).tolist()))
+    # every value is ~0 at q = p/2, so the scan-order tie-break picks the point
+    return seeded + [(0.0, 0.0), (0.1, 0.05), (0.9, 0.45), (0.3, 0.5)]
+
+
 class TestArrayGeometry:
     """The array search geometry equals its loop references bit for bit."""
+
+    @pytest.mark.parametrize("grid,refine_iters", [(51, 0), (77, 3), (201, 6)])
+    def test_grid_matches_raveled_mesh(self, grid, refine_iters):
+        for p, q in _mesh_points():
+            got = grid_refine_maximize(p, q, grid, refine_iters)
+            want = _grid_refine_mesh(p, q, grid, refine_iters)
+            assert repr(got) == repr(want), (p, q)
+            assert got.evaluations == want.evaluations, (p, q)
+
+    @pytest.mark.parametrize("p,q", [(0.2, 0.3), (0.05, 0.15), (0.9, 0.49999)])
+    def test_round_peak_below_raveled_mesh(self, p, q):
+        # Built from its two axes, a round holds no raveled lattice copies.
+        # Both loops run in this process, so the numpy version cancels.
+        peak = _traced_peak(grid_refine_maximize, p, q)
+        assert peak <= 0.85 * _traced_peak(_grid_refine_mesh, p, q)
 
     # at (0.11, 0.055) the overlap target rounds to 1 + 2e-16
     @pytest.mark.parametrize(
