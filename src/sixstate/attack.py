@@ -17,6 +17,10 @@ Pauli operator of one of the `BASES`, and the noisy source emits it as
 |10>, |11> (index = 2*left + right); joint signal-probe vectors use
 index = 4*signal + probe, so a joint operator reshapes to (signal,
 probe, signal, probe) axes of sizes (2, 4, 2, 4).
+
+The simulators evolve both bits of all three bases as one tensor and
+read Eve's z-basis populations and Bob's flips from its partial traces.
+They check the isometry's shape, its orthonormality, p, then the basis.
 """
 
 import dataclasses
@@ -60,6 +64,11 @@ _EIGENSTATES = {
     "x": tuple(np.array([1.0, s], dtype=complex) / _SQ2 for s in (1.0, -1.0)),
     "y": tuple(np.array([1.0, s], dtype=complex) / _SQ2 for s in (1.0j, -1.0j)),
 }
+
+# Projectors |k><k| of bits 0 and 1 per basis in BASES order, (3, 2, 2, 2).
+_PROJECTORS = np.array(
+    [[np.outer(ket, ket.conj()) for ket in _EIGENSTATES[basis]] for basis in BASES]
+)
 
 # Eve measures her probe in the computational basis; outcomes are
 # reported in the order |00>, |10>, |01>, |11>.
@@ -324,13 +333,13 @@ def _gram_residual(v):
     return np.abs(v.conj().T @ v - np.eye(2)).max()
 
 
-def _joint_states(iso, basis, p):
-    """``iso rho iso^dagger`` for the noisy basis states of bits 0 and 1.
+def _joint_states(iso, p):
+    """``iso rho iso^dagger`` for the noisy states of both bits of every basis.
 
-    Each joint operator comes back with (signal, probe, signal, probe)
-    axes of shape (2, 4, 2, 4).  Checks in this order, each raising
-    `DomainError`: `iso` has shape (8, 2), its columns pass the isometry
-    check at 1e-10, p lies in [0, 1), and basis is one of `BASES`.
+    One tensor of shape (3, 2, 2, 4, 2, 4): basis in `BASES` order,
+    Alice's bit, then the (signal, probe, signal, probe) axes.  Checks in
+    this order, each raising `DomainError`: `iso` has shape (8, 2), its
+    columns pass the isometry check at 1e-10, and p lies in [0, 1).
     """
     iso = np.asarray(iso, dtype=complex)
     if iso.shape != (8, 2):
@@ -339,11 +348,22 @@ def _joint_states(iso, basis, p):
     if not residual <= _ISO_TOL:
         raise DomainError(f"isometry columns are not orthonormal: residual {residual}")
     p, _ = check_domain(p, p / 2.0)
-    if basis not in BASES:
-        raise DomainError(f"basis must be one of {BASES}, got {basis!r}")
-    rhos = ((1.0 - p) * np.outer(ket, ket.conj()) + (p / 2.0) * np.eye(2, dtype=complex)
-            for ket in _EIGENSTATES[basis])
-    return [(iso @ rho @ iso.conj().T).reshape(2, 4, 2, 4) for rho in rhos]
+    rhos = (1.0 - p) * _PROJECTORS + (p / 2.0) * np.eye(2, dtype=complex)
+    return (iso @ rhos @ iso.conj().T).reshape(3, 2, 2, 4, 2, 4)
+
+
+def _simulate(iso, p):
+    """`simulate_eve_distribution`, and each basis's `simulate_bob_flips`.
+
+    Partial traces of the one `_joint_states` tensor: Eve's eight
+    probabilities, then a list of ``[w0, w1]`` per basis in `BASES` order.
+    """
+    joint = _joint_states(iso, p)
+    pops = np.einsum("nikik->nk", joint[BASES.index("z")]).real
+    bob = np.einsum("bnikjk->bnij", joint)
+    # Bob reads bit n wrong with weight tr(|1-n><1-n| rho_n).
+    flips = np.einsum("bnij,bnji->bn", _PROJECTORS[:, ::-1], bob).real
+    return pops[:, _OUTCOME_ORDER].ravel(), flips.tolist()
 
 
 def simulate_eve_distribution(iso, p):
@@ -356,11 +376,7 @@ def simulate_eve_distribution(iso, p):
     isometry, as `build_isometry` returns it, and p must lie in [0, 1),
     or `DomainError` is raised.
     """
-    out = []
-    for joint in _joint_states(iso, "z", p):
-        pops = np.real(np.diag(np.einsum("ikil->kl", joint)))
-        out.extend(pops[i] for i in _OUTCOME_ORDER)
-    return np.array(out)
+    return _simulate(iso, p)[0]
 
 
 def simulate_bob_flips(iso, p, basis):
@@ -373,6 +389,7 @@ def simulate_bob_flips(iso, p, basis):
     channel in that basis.  `iso` must be an 8x2 isometry, p in [0, 1)
     and basis one of `BASES`, or `DomainError` is raised.
     """
-    bob0, bob1 = (np.einsum("ikjk->ij", j) for j in _joint_states(iso, basis, p))
-    k0, k1 = _EIGENSTATES[basis]
-    return float(np.real(k1.conj() @ bob0 @ k1)), float(np.real(k0.conj() @ bob1 @ k0))
+    flips = _simulate(iso, p)[1]
+    if basis not in BASES:
+        raise DomainError(f"basis must be one of {BASES}, got {basis!r}")
+    return tuple(flips[BASES.index(basis)])

@@ -90,11 +90,8 @@ def cmd_optimize(args):
     ]
     _write_lines(None, report)
     if args.out is not None:
-        row = ",".join(
-            _fmt(v)
-            for v in (p, q, closed, result.best_value, diff, plus, minus, alt, lr.residual_norm)
-        )
-        _write_lines(args.out, [OPTIMIZE_HEADER, row])
+        row = (p, q, closed, result.best_value, diff, plus, minus, alt, lr.residual_norm)
+        _write_lines(args.out, _csv(OPTIMIZE_HEADER, [row]))
     if diff > tol:
         print(
             f"mismatch: |closed - grid| = {_fmt(diff)} exceeds tol {_fmt(tol)}",
@@ -118,11 +115,10 @@ def cmd_verify(args):
                    f"max residual {float(max(residuals)):.3e}"))
 
     closed = attack.eve_distribution_closed_form(params)
-    sim = attack.simulate_eve_distribution(iso, p)
+    sim, flips = attack._simulate(iso, p)
     dist_err = float(max(abs(closed - sim)))
     checks.append(("outcome distribution", dist_err <= 1e-12, f"max diff {dist_err:.3e}"))
 
-    flips = [attack.simulate_bob_flips(iso, p, b) for b in attack.BASES]
     qber_err = max(abs(0.5 * (w0 + w1) - q) for w0, w1 in flips)
     checks.append(("error rate all bases", qber_err <= 1e-10, f"max diff {qber_err:.3e}"))
 

@@ -367,6 +367,74 @@ class TestJointLayout:
             simulate_bob_flips(iso, 0.1, "z")
 
 
+def _joint_states_loop(iso, basis, p):
+    """Reference for `TestOneTensor`: one basis's joint states at a time.
+
+    ``iso rho iso^dagger`` for bits 0 and 1, each reshaped to (signal,
+    probe, signal, probe) axes, without the input checks.
+    """
+    rhos = ((1.0 - p) * np.outer(ket, ket.conj()) + (p / 2.0) * np.eye(2, dtype=complex)
+            for ket in attack._EIGENSTATES[basis])
+    return [(iso @ rho @ iso.conj().T).reshape(2, 4, 2, 4) for rho in rhos]
+
+
+def _simulate_loop(iso, p):
+    """Eve's eight probabilities and each basis's (w0, w1), one basis at a time."""
+    eve = []
+    for joint in _joint_states_loop(iso, "z", p):
+        pops = np.real(np.diag(np.einsum("ikil->kl", joint)))
+        eve.extend(pops[i] for i in (0, 2, 1, 3))
+    flips = []
+    for basis in BASES:
+        bob0, bob1 = (np.einsum("ikjk->ij", j) for j in _joint_states_loop(iso, basis, p))
+        k0, k1 = attack._EIGENSTATES[basis]
+        flips.append((float(np.real(k1.conj() @ bob0 @ k1)),
+                      float(np.real(k0.conj() @ bob1 @ k0))))
+    return np.array(eve), np.array(flips)
+
+
+class TestOneTensor:
+    """All three bases from one joint-state tensor, against the per-basis loop."""
+
+    TOL = 4.4e-16
+
+    def assert_matches_loop(self, iso, p):
+        eve_ref, flips_ref = _simulate_loop(iso, p)
+        eve, flips = attack._simulate(iso, p)
+        assert np.max(np.abs(eve - eve_ref)) <= self.TOL
+        assert np.max(np.abs(np.array(flips) - flips_ref)) <= self.TOL
+        assert np.array_equal(simulate_eve_distribution(iso, p), eve)
+        for basis, row in zip(BASES, flips):
+            assert simulate_bob_flips(iso, p, basis) == tuple(row)
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.9, 0.999])
+    def test_random_isometries(self, p):
+        rng = np.random.default_rng(1616)
+        for _ in range(50):
+            gauss = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+            self.assert_matches_loop(np.linalg.qr(gauss)[0], p)
+
+    @pytest.mark.parametrize("factory", [optimal_parameters, antiphase_parameters])
+    def test_attack_family(self, factory):
+        rng = np.random.default_rng(2008)
+        for p in [0.0, 0.999, *rng.uniform(0.0, 0.999, 5)]:
+            for q in [p / 2, 0.5, *rng.uniform(p / 2, 0.5, 3)]:
+                self.assert_matches_loop(isometry_for(factory(p, q)), p)
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.9])
+    def test_reference_isometries(self, p):
+        # no attack |k> -> |k>|00>, a product |k> -> |k>|probe> and the
+        # copying probe |k> -> |k>|kk>
+        rng = np.random.default_rng(2)
+        probe = rng.normal(size=4) + 1j * rng.normal(size=4)
+        for vec in ([1.0, 0.0, 0.0, 0.0], probe / np.linalg.norm(probe)):
+            self.assert_matches_loop(TestJointLayout.product_isometry(vec), p)
+        copying = np.zeros((8, 2), dtype=complex)
+        copying[0, 0] = 1.0
+        copying[7, 1] = 1.0
+        self.assert_matches_loop(copying, p)
+
+
 class TestSignalStates:
     """Alice's kets and the simulators' checks of p and basis."""
 

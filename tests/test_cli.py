@@ -164,6 +164,16 @@ class TestOptimize:
         assert len(rows) == 1
         assert rows[0][2] == pytest.approx(info.i_ae_optimal(0.05, 0.1), abs=1e-8)
 
+    def test_csv_file_pinned(self, tmp_path):
+        out = tmp_path / "opt.csv"
+        assert cli.main(["optimize", "--p", "0.05", "--q", "0.1", "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"p,q,i_ae_closed,i_ae_grid,abs_diff,beta_sq_plus,beta_sq_minus,"
+            b"i_ae_antiphase,lagrange_residual\n"
+            b"0.05,0.1,0.166603338,0.166603338,1.03883568e-12,0.702534955,"
+            b"0.297465045,0.0656320317,1.03107387e-15\n"
+        )
+
     def test_mismatch_exit_code(self, capsys):
         # an impossible tolerance turns the tiny closed-vs-grid gap into
         # a reported mismatch
@@ -215,6 +225,24 @@ class TestVerify:
         monkeypatch.setattr(attack, "build_isometry", boom)
         with pytest.raises(ConstraintError, match="forced for the test"):
             cli.main(["verify", "--p", "0.05", "--q", "0.15"])
+
+    def test_one_simulation_per_run(self, monkeypatch):
+        # one joint-state tensor serves all three bases, and the isometry
+        # is checked once when built and once when simulated
+        calls = {"_joint_states": 0, "_gram_residual": 0}
+
+        def counting(name):
+            real = getattr(attack, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(attack, name, counting(name))
+        assert cli.main(["verify", "--p", "0.05", "--q", "0.1"]) == 0
+        assert calls == {"_joint_states": 1, "_gram_residual": 2}
 
     def test_no_interaction_point_degenerate_stationarity(self, capsys):
         assert cli.main(["verify", "--p", "0.1", "--q", "0.05"]) == 0

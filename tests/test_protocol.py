@@ -14,10 +14,10 @@ _NO_ATTACK[4, 1] = 1.0
 
 @pytest.mark.parametrize("basis", BASES)
 def test_noisy_signal_zero_noise_is_pure(basis):
-    vec = attack._EIGENSTATES[basis][1]
-    _, joint1 = attack._joint_states(_NO_ATTACK, basis, 0.0)
-    bob1 = np.einsum("ikjk->ij", joint1)
-    assert np.allclose(bob1, np.outer(vec, vec.conj()))
+    joint = attack._joint_states(_NO_ATTACK, 0.0)[BASES.index(basis)]
+    for vec, state in zip(attack._EIGENSTATES[basis], joint):
+        bob = np.einsum("ikjk->ij", state)
+        assert np.allclose(bob, np.outer(vec, vec.conj()))
 
 
 @pytest.mark.parametrize("basis", BASES)
