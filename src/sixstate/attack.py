@@ -4,11 +4,13 @@ Eve attaches a two-qubit probe to each transmitted signal.  The attack
 family is parameterized by `AttackParameters`: four nonnegative radii
 describing the probe states paired with the kept and flipped signal,
 under the normalization that each radius pair squares to 1, and the
-phase difference between those two states.  From these, the module
-builds the probe states, assembles the 8x2 interaction isometry, and
-produces Eve's outcome distribution both in closed form and by direct
-density-matrix simulation (the latter acts as an independent oracle for
-the former).
+phase difference between those two states.  With ``b = |00>``,
+``d = |11>`` and a, c in span{|01>, |10>}, the one condition a point can
+break is ``Re<a|c> = overlap_target(p, q)`` (`AttackParameters.overlap`).
+From these, the module builds the probe states, assembles the 8x2
+interaction isometry, and produces Eve's outcome distribution both in
+closed form and by direct density-matrix simulation (the latter acts as
+an independent oracle for the former).
 
 This module alone knows the signal states and the layout of the joint
 space.  Alice sends the +1 (bit 0) or -1 (bit 1) eigenstate of the
@@ -30,25 +32,23 @@ import numpy as np
 
 from .exceptions import ConstraintError, DomainError
 from .info import _root, _weights
-from .protocol import check_domain, check_range
+from .protocol import _float, check_domain, check_range
 
 __all__ = [
     "BASES",
     "AttackParameters",
-    "AncillaSet",
     "overlap_target",
     "optimal_parameters",
     "antiphase_parameters",
     "parameters_from_squares",
     "build_ancillas",
-    "constraint_residuals",
     "build_isometry",
     "eve_distribution_closed_form",
     "simulate_eve_distribution",
     "simulate_bob_flips",
 ]
 
-# Largest error of a probe state's squared norm.
+# Largest error of a radius pair's squared norm.
 _NORM_TOL = 1e-12
 # Largest entry of V^dagger V - I an isometry may have.
 _ISO_TOL = 1e-10
@@ -110,16 +110,17 @@ class AttackParameters:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         for name in ("r_beta_a", "r_gamma_a", "r_beta_c", "r_gamma_c"):
-            r = float(getattr(self, name))
+            r = _float(getattr(self, name), name)
             if not math.isfinite(r) or r < 0.0:
                 raise DomainError(f"{name}={r} must be a nonnegative real")
             object.__setattr__(self, name, r)
-        phi = float(self.delta_phi)
+        phi = _float(self.delta_phi, "delta_phi")
         if not math.isfinite(phi):
             raise DomainError(f"delta_phi={phi} must be finite")
         object.__setattr__(self, "delta_phi", phi)
-        na = self.r_beta_a ** 2 + self.r_gamma_a ** 2
-        nc = self.r_beta_c ** 2 + self.r_gamma_c ** 2
+        # Products, not ** 2: a huge radius squares to inf, not OverflowError.
+        na = self.r_beta_a * self.r_beta_a + self.r_gamma_a * self.r_gamma_a
+        nc = self.r_beta_c * self.r_beta_c + self.r_gamma_c * self.r_gamma_c
         if abs(na - 1.0) > _NORM_TOL:
             raise ConstraintError(f"kept-signal probe norm squared is {na}, not 1")
         if abs(nc - 1.0) > _NORM_TOL:
@@ -139,30 +140,15 @@ class AttackParameters:
     def cos_delta_phi(self):
         return math.cos(self.delta_phi)
 
+    @property
+    def overlap(self):
+        """``Re<a|c>`` of the kept-signal probe states a and c.
 
-@dataclasses.dataclass(frozen=True)
-class AncillaSet:
-    """The four probe states, as normalized 4-component vectors.
-
-    a and c are the states attached to the kept signal branch; b and d
-    (fixed to |00> and |11>) to the disturbed branch.  b and d are
-    exactly orthogonal by construction.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            vec = np.asarray(getattr(self, name), dtype=complex)
-            if vec.shape != (4,):
-                raise DomainError(f"probe state {name} must have 4 components")
-            norm_sq = float(np.vdot(vec, vec).real)
-            if not abs(norm_sq - 1.0) <= _NORM_TOL:
-                raise ConstraintError(f"probe state {name} has norm squared {norm_sq}, not 1")
-            object.__setattr__(self, name, vec)
+        The attack reproduces error rate q at noise p exactly when this
+        equals ``overlap_target(p, q)``.
+        """
+        return (self.r_beta_a * self.r_beta_c
+                + self.r_gamma_a * self.r_gamma_c * self.cos_delta_phi)
 
 
 def overlap_target(p, q):
@@ -180,8 +166,8 @@ def parameters_from_squares(p, q, beta_a_sq, beta_c_sq, cos_dphi):
 
     Radii are the nonnegative square roots; the gamma radii follow from
     the unit-norm pairs, and ``delta_phi = arccos(cos_dphi)``.  No
-    overlap condition is imposed here — use `constraint_residuals` or
-    `sixstate.optimize.feasible_phase` for that.
+    overlap condition is imposed here — compare the result's `overlap`
+    with `overlap_target`, or use `sixstate.optimize.feasible_phase`.
     """
     beta_a_sq = check_range(beta_a_sq, 0.0, 1.0, "squared weight")
     beta_c_sq = check_range(beta_c_sq, 0.0, 1.0, "squared weight")
@@ -234,61 +220,58 @@ def antiphase_parameters(p, q):
 
 
 def build_ancillas(params):
-    """Assemble the four probe state vectors for a parameter point.
+    """The four probe states of a parameter point, as the rows a, b, c, d.
 
-    The phase difference sits on a's |01> amplitude; c's is real.
+    Returns a (4, 4) complex array in the probe basis |00>, |01>, |10>,
+    |11>: ``b = |00>``, ``d = |11>``, and a, c in span{|01>, |10>} with
+    the radii of `params`.  The phase difference sits on a's |01>
+    amplitude; c's is real.
     """
-    a = [0.0, params.r_gamma_a * np.exp(1j * params.delta_phi), params.r_beta_a, 0.0]
-    c = [0.0, params.r_gamma_c, params.r_beta_c, 0.0]
-    return AncillaSet(a=a, b=[1.0, 0.0, 0.0, 0.0], c=c, d=[0.0, 0.0, 0.0, 1.0])
-
-
-def constraint_residuals(ancillas, p, q):
-    """Magnitudes of the four attack constraints at (p, q).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``[|<b|d>|, |Re<a|c> - overlap_target(p, q)|,
-        |<a|b> + <d|c>|, |<a|d> + <b|c>|]``.  The first, third and
-        fourth vanish identically for states built by `build_ancillas`;
-        the second measures how far the point is from reproducing error
-        rate q.
-    """
-    t = overlap_target(p, q)
-    r1 = abs(np.vdot(ancillas.b, ancillas.d))
-    r2 = abs(np.vdot(ancillas.a, ancillas.c).real - t)
-    r3 = abs(np.vdot(ancillas.a, ancillas.b) + np.vdot(ancillas.d, ancillas.c))
-    r4 = abs(np.vdot(ancillas.a, ancillas.d) + np.vdot(ancillas.b, ancillas.c))
-    return np.array([r1, r2, r3, r4])
+    return np.array(
+        [
+            [0.0, params.r_gamma_a * np.exp(1j * params.delta_phi), params.r_beta_a, 0.0],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, params.r_gamma_c, params.r_beta_c, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ],
+        dtype=complex,
+    )
 
 
 def build_isometry(d, ancillas):
     """Assemble Eve's 8x2 interaction isometry at disturbance d.
 
-    Column k is the image of signal state |k>: the signal is kept with
-    amplitude sqrt(1-d) (attaching a or c) and flipped with amplitude
-    sqrt(d) (attaching b or d).
+    `ancillas` holds the probe states a, b, c, d as the rows of a (4, 4)
+    array, as `build_ancillas` returns them.  Column k is the image of
+    signal state |k>: the signal is kept with amplitude sqrt(1-d)
+    (attaching a or c) and flipped with amplitude sqrt(d) (attaching b
+    or d).
 
     Raises
     ------
+    DomainError
+        If d lies outside [0, 1/2] or `ancillas` does not have shape (4, 4).
     ConstraintError
         If the columns fail the isometry check at 1e-10, which happens
-        exactly when the probe states violate the orthogonality
-        conditions linking the kept and flipped branches.
+        exactly when a probe state is not a unit vector or the probe
+        states violate the orthogonality conditions linking the kept
+        and flipped branches.
     """
     d = check_range(d, 0.0, 0.5, "disturbance d")
+    ancillas = np.asarray(ancillas, dtype=complex)
+    if ancillas.shape != (4, 4):
+        raise DomainError(f"probe states must form a (4, 4) array, got {ancillas.shape}")
     keep = math.sqrt(1.0 - d)
     flip = math.sqrt(d)
     v = np.zeros((8, 2), dtype=complex)
-    v[0:4, 0] = keep * ancillas.a
-    v[4:8, 0] = flip * ancillas.b
-    v[4:8, 1] = keep * ancillas.c
-    v[0:4, 1] = flip * ancillas.d
+    v[0:4, 0] = keep * ancillas[0]
+    v[4:8, 0] = flip * ancillas[1]
+    v[4:8, 1] = keep * ancillas[2]
+    v[0:4, 1] = flip * ancillas[3]
     if not _gram_residual(v) <= _ISO_TOL:
         raise ConstraintError(
-            "columns are not isometric: probe states violate the "
-            "kept/flipped orthogonality conditions"
+            "columns are not isometric: probe states are not unit vectors "
+            "or violate the kept/flipped orthogonality conditions"
         )
     return v
 
@@ -347,7 +330,7 @@ def _joint_states(iso, p):
     residual = _gram_residual(iso)
     if not residual <= _ISO_TOL:
         raise DomainError(f"isometry columns are not orthonormal: residual {residual}")
-    p, _ = check_domain(p, p / 2.0)
+    p, _ = check_domain(p, 0.5)
     rhos = (1.0 - p) * _PROJECTORS + (p / 2.0) * np.eye(2, dtype=complex)
     return (iso @ rhos @ iso.conj().T).reshape(3, 2, 2, 4, 2, 4)
 

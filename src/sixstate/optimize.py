@@ -288,8 +288,7 @@ def lagrange_residual(params):
     rba, rga = params.r_beta_a, params.r_gamma_a
     rbc, rgc = params.r_beta_c, params.r_gamma_c
     cos = params.cos_delta_phi
-    t = overlap_target(p, q)
-    g1 = rba * rbc + rga * rgc * cos - t
+    g1 = params.overlap - overlap_target(p, q)
     if abs(g1) > 1e-8:
         raise ConstraintError(f"overlap condition violated by {g1}")
 

@@ -6,12 +6,10 @@ import pytest
 from sixstate import attack, protocol
 from sixstate.attack import (
     BASES,
-    AncillaSet,
     AttackParameters,
     antiphase_parameters,
     build_ancillas,
     build_isometry,
-    constraint_residuals,
     eve_distribution_closed_form,
     optimal_parameters,
     overlap_target,
@@ -76,17 +74,34 @@ class TestAttackParameters:
         with pytest.raises(DomainError):
             AttackParameters(0.0, 0.1, 1.0, 0.0, 1.0, 0.0, phi)
 
+    @pytest.mark.parametrize("bad", ["1", b"1", None, 1j, [1.0], 10**400])
+    @pytest.mark.parametrize("field", [2, 3, 4, 5, 6])
+    def test_non_number_refused(self, field, bad):
+        # the radii and delta_phi go through the package's number parser
+        args = [0.0, 0.1, 1.0, 0.0, 1.0, 0.0, 0.0]
+        args[field] = bad
+        with pytest.raises(DomainError):
+            AttackParameters(*args)
+
+    @pytest.mark.parametrize("field", [2, 3, 4, 5])
+    def test_huge_radius_refused(self, field):
+        # squares to inf rather than overflowing
+        args = [0.0, 0.1, 1.0, 0.0, 1.0, 0.0, 0.0]
+        args[field] = 1e200
+        with pytest.raises(ConstraintError, match="norm squared is inf"):
+            AttackParameters(*args)
+
     def test_bad_domain(self):
         with pytest.raises(DomainError):
             parameters_from_squares(0.2, 0.05, 0.5, 0.5, 1.0)
 
-    def test_norm_tolerance_matches_ancilla_set(self):
-        # the type and AncillaSet share one tolerance on the squared norm:
-        # a point the type accepts always builds, and one it would not
-        # build is refused at construction
+    def test_norm_tolerance_within_isometry_check(self):
+        # the type's 1e-12 on the squared norm is tighter than the
+        # isometry's 1e-10: a point the type accepts always builds, and a
+        # larger norm error is refused at construction
         with pytest.raises(ConstraintError):
             AttackParameters(0.0, 0.1, 0.8, 0.6 + 4e-11, 0.6, 0.8, 0.0)
-        build_ancillas(AttackParameters(0.0, 0.1, 0.8, 0.6 + 4e-13, 0.6, 0.8, 0.0))
+        isometry_for(AttackParameters(0.0, 0.1, 0.8, 0.6 + 4e-13, 0.6, 0.8, 0.0))
 
     def test_delta_phi(self):
         params = AttackParameters(0.0, 0.1, 0.8, 0.6, 0.8, 0.6, math.pi)
@@ -103,16 +118,14 @@ def test_overlap_target_values():
 def test_factories_satisfy_constraints():
     for factory in (optimal_parameters, antiphase_parameters):
         params = factory(0.05, 0.15)
-        res = constraint_residuals(build_ancillas(params), 0.05, 0.15)
-        assert np.max(res) < 1e-12
+        assert abs(params.overlap - overlap_target(0.05, 0.15)) < 1e-12
 
 
 def test_antiphase_on_no_interaction_line():
     # overlap_target rounds to 1 + 4.4e-16 at most p above ~0.834 on q = p/2
     for p in np.linspace(0.0, 0.99, 1000).tolist():
         antiphase_parameters(p, p / 2.0)
-    res = constraint_residuals(build_ancillas(antiphase_parameters(0.85, 0.425)), 0.85, 0.425)
-    assert np.max(res) <= 1e-10
+    assert abs(antiphase_parameters(0.85, 0.425).overlap - overlap_target(0.85, 0.425)) <= 1e-10
 
 
 def test_antiphase_has_opposed_phases_and_equal_weights():
@@ -125,61 +138,89 @@ class TestBuildAncillas:
     def test_pure_beta_state(self):
         params = AttackParameters(0.0, 0.1, 1.0, 0.0, 1.0, 0.0, 0.0)
         anc = build_ancillas(params)
-        assert np.allclose(anc.a, [0, 0, 1, 0])
+        assert np.allclose(anc[0], [0, 0, 1, 0])
 
     def test_identical_states_overlap_one(self):
         s = 1 / math.sqrt(2)
         params = AttackParameters(0.1, 0.05, s, s, s, s, 0.0)
         anc = build_ancillas(params)
-        assert np.vdot(anc.a, anc.c) == pytest.approx(1.0)
+        assert np.vdot(anc[0], anc[2]) == pytest.approx(1.0)
 
     def test_optimum_overlap_matches_target(self):
         anc = build_ancillas(optimal_parameters(0.0, 0.1))
-        assert np.vdot(anc.a, anc.c).real == pytest.approx(8 / 9, abs=1e-12)
+        assert np.vdot(anc[0], anc[2]).real == pytest.approx(8 / 9, abs=1e-12)
 
     def test_b_d_fixed_and_orthogonal(self):
         anc = build_ancillas(optimal_parameters(0.05, 0.2))
-        assert np.array_equal(anc.b, [1, 0, 0, 0])
-        assert np.array_equal(anc.d, [0, 0, 0, 1])
+        assert anc.shape == (4, 4)
+        assert np.array_equal(anc[1], [1, 0, 0, 0])
+        assert np.array_equal(anc[3], [0, 0, 0, 1])
 
-    def test_ancilla_set_rejects_unnormalized(self):
-        bad = np.array([1.0, 1.0, 0.0, 0.0])
-        e = np.eye(4)
-        with pytest.raises(ConstraintError):
-            AncillaSet(a=bad, b=e[0], c=e[1], d=e[3])
+    def test_phase_on_a_01_amplitude(self):
+        anc = build_ancillas(AttackParameters(0.0, 0.1, 0.8, 0.6, 0.6, 0.8, 0.5))
+        assert anc[0, 1] == pytest.approx(0.6 * np.exp(0.5j), abs=1e-16)
+        assert anc[0, 2] == 0.8
+        assert np.array_equal(anc[2], [0, 0.8, 0.6, 0])
 
 
-class TestConstraintResiduals:
-    def test_structural_zeros(self):
-        # residuals 1, 3, 4 vanish for every member of this family
-        params = parameters_from_squares(0.1, 0.3, 0.6, 0.2, 0.4)
-        res = constraint_residuals(build_ancillas(params), 0.1, 0.3)
-        assert res[0] == 0.0
-        assert res[2] == 0.0
-        assert res[3] == 0.0
+# off-optimum points of the family: three weight pairs at four phase cosines
+OFF_OPTIMUM = [
+    parameters_from_squares(p, q, ba, bc, cos)
+    for p, q, ba, bc in [(0.1, 0.3, 0.6, 0.2), (0.0, 0.45, 0.05, 0.9), (0.5, 0.4, 1.0, 0.0)]
+    for cos in (-1.0, 0.0, 0.4, 1.0)
+]
+
+
+class TestOverlap:
+    """`AttackParameters.overlap`, the one formula for Re<a|c>."""
+
+    TOL = 4.4e-16
+
+    @pytest.mark.parametrize(
+        "params",
+        [optimal_parameters(p, q) for p, q in ORACLE_GRID]
+        + [antiphase_parameters(p, q) for p, q in ORACLE_GRID]
+        + OFF_OPTIMUM,
+    )
+    def test_matches_built_states(self, params):
+        anc = build_ancillas(params)
+        assert abs(params.overlap - np.vdot(anc[0], anc[2]).real) <= self.TOL
+        # the other conditions hold by construction: b = |00>, d = |11>,
+        # and a, c in span{|01>, |10>}
+        assert np.array_equal(anc[1], [1, 0, 0, 0])
+        assert np.array_equal(anc[3], [0, 0, 0, 1])
+        assert np.array_equal(anc[[0, 2]][:, [0, 3]], np.zeros((2, 2)))
 
     def test_no_interaction_with_identical_states(self):
         s = 1 / math.sqrt(2)
         params = AttackParameters(0.1, 0.05, s, s, s, s, 0.0)
-        res = constraint_residuals(build_ancillas(params), 0.1, 0.05)
-        assert res[1] == pytest.approx(0.0, abs=1e-15)
+        assert params.overlap - overlap_target(0.1, 0.05) == pytest.approx(0.0, abs=1e-15)
 
-    def test_optimum_all_small(self):
-        res = constraint_residuals(
-            build_ancillas(optimal_parameters(0.05, 0.1)), 0.05, 0.1
-        )
-        assert np.max(res) < 1e-12
+    def test_optimum_meets_target(self):
+        for p, q in ORACLE_GRID:
+            assert abs(optimal_parameters(p, q).overlap - overlap_target(p, q)) < 1e-12
 
-    def test_domain_error(self):
-        anc = build_ancillas(optimal_parameters(0.05, 0.1))
+    def test_target_domain_error(self):
+        # the residual |overlap - overlap_target(p, q)| refuses q < p/2
         with pytest.raises(DomainError):
-            constraint_residuals(anc, 0.05, 0.01)
+            overlap_target(0.05, 0.01)
+
+    def test_off_optimum_misses_target(self):
+        params = parameters_from_squares(0.1, 0.3, 0.6, 0.2, 0.4)
+        expected = math.sqrt(0.6 * 0.2) + math.sqrt(0.4 * 0.8) * 0.4
+        assert params.overlap == pytest.approx(expected, abs=1e-15)
+        assert abs(params.overlap - overlap_target(0.1, 0.3)) > 0.01
+
+    def test_read_only(self):
+        params = optimal_parameters(0.05, 0.1)
+        with pytest.raises(AttributeError):
+            params.overlap = 0.5
 
 
 class TestBuildIsometry:
     def test_no_disturbance_identical_probes(self):
         e = np.eye(4, dtype=complex)
-        anc = AncillaSet(a=e[1], b=e[0], c=e[1], d=e[3])
+        anc = np.array([e[1], e[0], e[1], e[3]])
         v = build_isometry(0.0, anc)
         expected0 = np.zeros(8)
         expected0[1] = 1.0  # |0> (x) |01>
@@ -201,9 +242,29 @@ class TestBuildIsometry:
         # flipped-branch state
         a = np.array([0.0, 0.6, 0.6, math.sqrt(1 - 2 * 0.36)], dtype=complex)
         e = np.eye(4, dtype=complex)
-        anc = AncillaSet(a=a, b=e[0], c=e[1], d=e[3])
+        anc = np.array([a, e[0], e[1], e[3]])
         with pytest.raises(ConstraintError):
             build_isometry(0.3, anc)
+
+    def test_unnormalized_probe_refused(self):
+        # a non-unit a breaks the Gram check at every disturbance
+        e = np.eye(4)
+        anc = np.array([[1.0, 1.0, 0.0, 0.0], e[0], e[1], e[3]])
+        for d in (0.0, 0.3, 0.5):
+            with pytest.raises(ConstraintError, match="not isometric"):
+                build_isometry(d, anc)
+
+    @pytest.mark.parametrize(
+        "anc", [np.eye(4)[0], np.eye(4)[:3], np.eye(4)[:, :3], np.eye(4)[..., None]]
+    )
+    def test_wrong_shape_refused(self, anc):
+        with pytest.raises(DomainError, match=r"\(4, 4\) array"):
+            build_isometry(0.1, anc)
+
+    def test_accepts_nested_lists(self):
+        anc = build_ancillas(optimal_parameters(0.05, 0.2))
+        d = protocol.d_from_qber(0.2, 0.05)
+        assert np.array_equal(build_isometry(d, anc.tolist()), build_isometry(d, anc))
 
     def test_disturbance_domain(self):
         anc = build_ancillas(optimal_parameters(0.0, 0.1))
@@ -256,8 +317,7 @@ class TestSimulateQber:
     @pytest.mark.parametrize("basis", BASES)
     def test_identity_like_attack(self, basis):
         e = np.eye(4, dtype=complex)
-        anc = AncillaSet(a=e[1], b=e[0], c=e[1], d=e[3])
-        iso = build_isometry(0.0, anc)
+        iso = build_isometry(0.0, np.array([e[1], e[0], e[1], e[3]]))
         assert simulated_qber(iso, 0.1, basis) == pytest.approx(0.05)
 
     @pytest.mark.parametrize("basis", BASES)
@@ -289,8 +349,7 @@ class TestBobSymmetry:
 
     def test_identity_attack_symmetric(self):
         e = np.eye(4, dtype=complex)
-        anc = AncillaSet(a=e[1], b=e[0], c=e[1], d=e[3])
-        iso = build_isometry(0.0, anc)
+        iso = build_isometry(0.0, np.array([e[1], e[0], e[1], e[3]]))
         assert symmetry_residual(iso, 0.0, "z") == pytest.approx(0.0, abs=1e-15)
 
     def test_lopsided_attack_detected(self):
@@ -468,6 +527,17 @@ class TestSignalStates:
             simulate_eve_distribution(iso, p)
         with pytest.raises(DomainError, match="noise parameter p"):
             simulate_bob_flips(iso, p, "z")
+
+    @pytest.mark.parametrize("p", ["0.1", b"0.1", None, 1j])
+    def test_non_number_p_refused(self, iso, p):
+        with pytest.raises(DomainError, match="noise parameter p"):
+            simulate_eve_distribution(iso, p)
+        with pytest.raises(DomainError, match="noise parameter p"):
+            simulate_bob_flips(iso, p, "z")
+
+    def test_non_number_p_named_before_bad_basis(self, iso):
+        with pytest.raises(DomainError, match="noise parameter p is text"):
+            simulate_bob_flips(iso, "0.1", "w")
 
     def test_bad_p_named_before_bad_basis(self, iso):
         with pytest.raises(DomainError, match=r"noise parameter p=1\.5 outside"):
