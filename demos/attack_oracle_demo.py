@@ -35,7 +35,7 @@ print(f"isometry shape             = {iso.shape} (columns orthonormal)")
 print()
 print("Eve's outcome probabilities, conditioned on Alice's bit:")
 closed = attack.eve_distribution_closed_form(params)
-sim = attack.simulate_eve_distribution(iso, P)
+sim, flips = attack.simulate(iso, P)
 labels = ["|00>", "|10>", "|01>", "|11>"]
 for bit in (0, 1):
     block = slice(4 * bit, 4 * bit + 4)
@@ -46,8 +46,7 @@ print(f"  max |closed - simulated| = {np.max(np.abs(closed - sim)):.2e}")
 
 print()
 print("What Bob observes:")
-for basis in attack.BASES:
-    w0, w1 = attack.simulate_bob_flips(iso, P, basis)
+for basis, (w0, w1) in zip(attack.BASES, flips):
     rate = 0.5 * (w0 + w1)
     sym = abs(w1 - w0)
     print(f"  basis {basis}: error rate {rate:.12f}, symmetry residual {sym:.2e}")

@@ -1,11 +1,13 @@
-"""Curve sweeps and key-rate crossing studies.
+"""Curve sweeps, key-rate crossing studies and the attack's self-checks.
 
 Produces the data behind the two standard pictures of this analysis:
 information-versus-error-rate curves at fixed noise (with the
 noiseless curves alongside for comparison), and the error-rate
 threshold where Bob's information stops exceeding Eve's, swept over
 the noise weight and compared with a straight-line baseline anchored
-at the noiseless threshold.
+at the noiseless threshold.  `verify_checks` runs the bundle of
+consistency checks of the optimal attack at one ``(p, q)`` point that
+``sixstate verify`` prints.
 """
 
 import dataclasses
@@ -13,9 +15,12 @@ import math
 
 import numpy as np
 
+from .attack import (build_ancillas, build_isometry, eve_distribution_closed_form,
+                     optimal_parameters, overlap_target, simulate)
 from .exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
-from .info import _beta_sq, _i_ab, _i_ae_antiphase, _i_ae_optimal
-from .protocol import _float, check_count, check_domain, check_range
+from .info import _beta_sq, _i_ab, _i_ae_aligned, _i_ae_antiphase, _i_ae_optimal
+from .optimize import lagrange_residual
+from .protocol import _disturbance, _float, check_count, check_domain, check_range
 
 __all__ = [
     "PURE_CROSSING_D",
@@ -24,6 +29,7 @@ __all__ = [
     "curve_sweep",
     "crossing_point",
     "crossing_sweep",
+    "verify_checks",
 ]
 
 # Noiseless-protocol threshold used for the straight-line baseline,
@@ -290,3 +296,59 @@ def _crossings(ps, tol):
             p=p, q_cross=q_cross, q_line=q_line, margin=q_cross - q_line, iterations=n,
         ))
     return results
+
+
+def verify_checks(p, q):
+    """Check the optimal attack at (p, q) against the simulation and the optimum.
+
+    Validates (p, q) once, builds the attack of `optimal_parameters` and
+    its isometry, simulates it once, and evaluates the closed forms on
+    the validated pair.  Returns ``(checks, advantage)``: ``checks`` is a
+    list of seven ``(name, passed, detail)`` triples, in this order and
+    with these bounds,
+
+    - "constraints": ``|Re<a|c> - overlap_target|`` at most 1e-10;
+    - "outcome distribution": closed-form against simulated outcomes of
+      Eve, at most 1e-12;
+    - "error rate all bases": simulated error rate against q in every
+      basis, at most 1e-10;
+    - "bob symmetry": ``|w1 - w0|`` in every basis, at most 1e-12;
+    - "branch dominance": ``i_ae_optimal >= i_ae_antiphase - 1e-12``;
+    - "branch symmetry": the closed form at the plus and minus roots of
+      `sixstate.info.beta_sq_optimal`, within 1e-14;
+    - "stationarity": Lagrange residual below 1e-6, or a degenerate point;
+
+    and ``advantage`` is ``i_ab(q) - i_ae_optimal(p, q)``.
+
+    Raises
+    ------
+    DomainError
+        If (p, q) fails `sixstate.protocol.check_domain`.
+    ConstraintError
+        If building or checking the attack breaks an internal invariant.
+    """
+    p, q = check_domain(p, q)
+    params = optimal_parameters(p, q)
+    iso = build_isometry(_disturbance(q, p), build_ancillas(params))
+    residual = abs(params.overlap - overlap_target(p, q))
+    closed = eve_distribution_closed_form(params)
+    sim, flips = simulate(iso, p)
+    dist_err = float(max(abs(closed - sim)))
+    qber_err = max(abs(0.5 * (w0 + w1) - q) for w0, w1 in flips)
+    sym_err = max(abs(w1 - w0) for w0, w1 in flips)
+    opt = float(_i_ae_optimal(p, q))
+    alt = float(_i_ae_antiphase(p, q))
+    swap = abs(float(_i_ae_aligned(p, q, _beta_sq(p, q, 1.0)))
+               - float(_i_ae_aligned(p, q, _beta_sq(p, q, -1.0))))
+    lr = lagrange_residual(params)
+    checks = [
+        ("constraints", residual <= 1e-10, f"max residual {residual:.3e}"),
+        ("outcome distribution", dist_err <= 1e-12, f"max diff {dist_err:.3e}"),
+        ("error rate all bases", qber_err <= 1e-10, f"max diff {qber_err:.3e}"),
+        ("bob symmetry", sym_err <= 1e-12, f"max residual {sym_err:.3e}"),
+        ("branch dominance", opt >= alt - 1e-12, f"optimal {opt:.9g} vs antiphase {alt:.9g}"),
+        ("branch symmetry", swap <= 1e-14, f"diff {swap:.3e}"),
+        ("stationarity", lr.degenerate or lr.residual_norm < 1e-6,
+         "degenerate point" if lr.degenerate else f"residual {lr.residual_norm:.3e}"),
+    ]
+    return checks, float(_i_ab(q)) - opt

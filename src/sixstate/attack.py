@@ -20,9 +20,9 @@ Pauli operator of one of the `BASES`, and the noisy source emits it as
 index = 4*signal + probe, so a joint operator reshapes to (signal,
 probe, signal, probe) axes of sizes (2, 4, 2, 4).
 
-The simulators evolve both bits of all three bases as one tensor and
-read Eve's z-basis populations and Bob's flips from its partial traces.
-They check the isometry's shape, its orthonormality, p, then the basis.
+`simulate` evolves both bits of all three bases as one tensor and reads
+Eve's z-basis populations and Bob's flips in every basis from its partial
+traces.  It checks the isometry's shape, its orthonormality, then p.
 """
 
 import dataclasses
@@ -44,8 +44,8 @@ __all__ = [
     "build_ancillas",
     "build_isometry",
     "eve_distribution_closed_form",
+    "simulate",
     "simulate_eve_distribution",
-    "simulate_bob_flips",
 ]
 
 # Largest error of a radius pair's squared norm.
@@ -250,7 +250,8 @@ def build_isometry(d, ancillas):
     Raises
     ------
     DomainError
-        If d lies outside [0, 1/2] or `ancillas` does not have shape (4, 4).
+        If d lies outside [0, 1/2], or `ancillas` is not a (4, 4) array of
+        numbers.
     ConstraintError
         If the columns fail the isometry check at 1e-10, which happens
         exactly when a probe state is not a unit vector or the probe
@@ -258,9 +259,7 @@ def build_isometry(d, ancillas):
         and flipped branches.
     """
     d = check_range(d, 0.0, 0.5, "disturbance d")
-    ancillas = np.asarray(ancillas, dtype=complex)
-    if ancillas.shape != (4, 4):
-        raise DomainError(f"probe states must form a (4, 4) array, got {ancillas.shape}")
+    ancillas = _complex_array(ancillas, (4, 4), "probe states")
     keep = math.sqrt(1.0 - d)
     flip = math.sqrt(d)
     v = np.zeros((8, 2), dtype=complex)
@@ -311,6 +310,22 @@ def eve_distribution_closed_form(params):
     return m
 
 
+def _complex_array(x, shape, what):
+    """x as a complex array of the given shape, or `DomainError`.
+
+    Ragged nesting, text and objects that are not numbers are refused, as
+    the scalar validators refuse them.
+    """
+    try:
+        a = np.asarray(x)
+    except ValueError:
+        raise DomainError(f"{what} must form a {shape} array, got ragged input") from None
+    if a.dtype.kind not in "biufc" or a.shape != shape:
+        raise DomainError(f"{what} must form a {shape} array of numbers, "
+                          f"got {a.dtype} of shape {a.shape}")
+    return np.asarray(a, dtype=complex)
+
+
 def _gram_residual(v):
     """``max |V^dagger V - I|``: zero exactly when v's columns are orthonormal."""
     return np.abs(v.conj().T @ v - np.eye(2)).max()
@@ -321,12 +336,11 @@ def _joint_states(iso, p):
 
     One tensor of shape (3, 2, 2, 4, 2, 4): basis in `BASES` order,
     Alice's bit, then the (signal, probe, signal, probe) axes.  Checks in
-    this order, each raising `DomainError`: `iso` has shape (8, 2), its
-    columns pass the isometry check at 1e-10, and p lies in [0, 1).
+    this order, each raising `DomainError`: `iso` is an (8, 2) array of
+    numbers, its columns pass the isometry check at 1e-10, and p lies in
+    [0, 1).
     """
-    iso = np.asarray(iso, dtype=complex)
-    if iso.shape != (8, 2):
-        raise DomainError(f"isometry must have shape (8, 2), got {iso.shape}")
+    iso = _complex_array(iso, (8, 2), "isometry")
     residual = _gram_residual(iso)
     if not residual <= _ISO_TOL:
         raise DomainError(f"isometry columns are not orthonormal: residual {residual}")
@@ -335,11 +349,23 @@ def _joint_states(iso, p):
     return (iso @ rhos @ iso.conj().T).reshape(3, 2, 2, 4, 2, 4)
 
 
-def _simulate(iso, p):
-    """`simulate_eve_distribution`, and each basis's `simulate_bob_flips`.
+def simulate(iso, p):
+    """Eve's outcome probabilities and Bob's flips in every basis, simulated.
 
-    Partial traces of the one `_joint_states` tensor: Eve's eight
-    probabilities, then a list of ``[w0, w1]`` per basis in `BASES` order.
+    Sends both noisy states of every basis through the isometry as one
+    tensor and takes its partial traces.  Returns ``(eve, flips)``:
+
+    - ``eve``, Eve's eight probabilities: for each value of Alice's bit,
+      the probe populations after the noisy computational-basis signal,
+      in the order |00>, |10>, |01>, |11>.  This is the independent
+      oracle for `eve_distribution_closed_form`;
+    - ``flips``, one ``[w0, w1]`` per basis in `BASES` order: the
+      probabilities that Bob reads bit 0 as 1 and bit 1 as 0.  Their mean
+      is Bob's error rate in that basis, and ``|w1 - w0|`` is zero when
+      Alice and Bob see a symmetric error channel there.
+
+    `iso` must be an 8x2 isometry, as `build_isometry` returns it, and p
+    must lie in [0, 1), or `DomainError` is raised.
     """
     joint = _joint_states(iso, p)
     pops = np.einsum("nikik->nk", joint[BASES.index("z")]).real
@@ -350,29 +376,5 @@ def _simulate(iso, p):
 
 
 def simulate_eve_distribution(iso, p):
-    """Eve's outcome probabilities by direct density-matrix evolution.
-
-    For each value of Alice's bit, sends the noisy computational-basis
-    signal through the isometry, traces out the signal, and reads the
-    probe populations in the order |00>, |10>, |01>, |11>.  Independent
-    oracle for `eve_distribution_closed_form`.  `iso` must be an 8x2
-    isometry, as `build_isometry` returns it, and p must lie in [0, 1),
-    or `DomainError` is raised.
-    """
-    return _simulate(iso, p)[0]
-
-
-def simulate_bob_flips(iso, p, basis):
-    """Bob's two flip probabilities in a basis, under the attack, at noise p.
-
-    Sends both noisy basis states through the isometry, reduces to Bob's
-    qubit, and returns ``(w0, w1)``: the probabilities that Bob reads
-    bit 0 as 1 and bit 1 as 0.  Their mean is Bob's error rate, and
-    ``|w1 - w0|`` is zero when Alice and Bob see a symmetric error
-    channel in that basis.  `iso` must be an 8x2 isometry, p in [0, 1)
-    and basis one of `BASES`, or `DomainError` is raised.
-    """
-    flips = _simulate(iso, p)[1]
-    if basis not in BASES:
-        raise DomainError(f"basis must be one of {BASES}, got {basis!r}")
-    return tuple(flips[BASES.index(basis)])
+    """Eve's eight outcome probabilities by simulation: ``simulate(iso, p)[0]``."""
+    return simulate(iso, p)[0]

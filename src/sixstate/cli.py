@@ -2,8 +2,9 @@
 
 Four subcommands: ``curves`` and ``crossing`` emit CSV data for the
 two standard plots, ``optimize`` cross-checks the closed-form optimum
-against the brute-force grid search, and ``verify`` runs the bundle of
-consistency checks at one parameter point.
+against the brute-force grid search, and ``verify`` prints the bundle of
+consistency checks of `sixstate.analysis.verify_checks` at one
+parameter point, one PASS/FAIL line per check.
 
 Data goes to stdout or the ``--out`` file; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments or
@@ -102,50 +103,10 @@ def cmd_optimize(args):
 
 
 def cmd_verify(args):
-    p, q = protocol.check_domain(args.p, args.q)
-    params = attack.optimal_parameters(p, q)
-    iso = attack.build_isometry(protocol.d_from_qber(q, p), attack.build_ancillas(params))
-
-    checks = []
-
-    residual = abs(params.overlap - attack.overlap_target(p, q))
-    checks.append(("constraints", residual <= 1e-10, f"max residual {residual:.3e}"))
-
-    closed = attack.eve_distribution_closed_form(params)
-    sim, flips = attack._simulate(iso, p)
-    dist_err = float(max(abs(closed - sim)))
-    checks.append(("outcome distribution", dist_err <= 1e-12, f"max diff {dist_err:.3e}"))
-
-    qber_err = max(abs(0.5 * (w0 + w1) - q) for w0, w1 in flips)
-    checks.append(("error rate all bases", qber_err <= 1e-10, f"max diff {qber_err:.3e}"))
-
-    sym_err = max(abs(w1 - w0) for w0, w1 in flips)
-    checks.append(("bob symmetry", sym_err <= 1e-12, f"max residual {sym_err:.3e}"))
-
-    opt = info.i_ae_optimal(p, q)
-    alt = info.i_ae_antiphase(p, q)
-    checks.append(("branch dominance", opt >= alt - 1e-12,
-                   f"optimal {_fmt(opt)} vs antiphase {_fmt(alt)}"))
-
-    swap = abs(
-        info.i_ae_closed_form(p, q, info.beta_sq_optimal(p, q, "plus"))
-        - info.i_ae_closed_form(p, q, info.beta_sq_optimal(p, q, "minus"))
-    )
-    checks.append(("branch symmetry", swap <= 1e-14, f"diff {swap:.3e}"))
-
-    lr = optimize.lagrange_residual(params)
-    ok = lr.degenerate or lr.residual_norm < 1e-6
-    detail = "degenerate point" if lr.degenerate else f"residual {lr.residual_norm:.3e}"
-    checks.append(("stationarity", ok, detail))
-
-    all_ok = True
-    lines = []
-    for name, passed, detail in checks:
-        all_ok = all_ok and passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
-    lines.append(f"i_ab - i_ae_opt = {_fmt(info.i_ab(q) - opt)}")
-    _write_lines(None, lines)
-    return 0 if all_ok else 1
+    checks, advantage = analysis.verify_checks(args.p, args.q)
+    lines = [f"{'PASS' if ok else 'FAIL'} {name} ({detail})" for name, ok, detail in checks]
+    _write_lines(None, lines + [f"i_ab - i_ae_opt = {_fmt(advantage)}"])
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def build_parser():

@@ -80,10 +80,9 @@ def test_acceptance_4_oracle_equivalence():
             protocol.d_from_qber(q, p), attack.build_ancillas(params)
         )
         closed = attack.eve_distribution_closed_form(params)
-        sim = attack.simulate_eve_distribution(iso, p)
+        sim, flips = attack.simulate(iso, p)
         worst_m = max(worst_m, float(np.max(np.abs(closed - sim))))
-        for basis in attack.BASES:
-            w0, w1 = attack.simulate_bob_flips(iso, p, basis)
+        for w0, w1 in flips:
             worst_q = max(worst_q, abs(0.5 * (w0 + w1) - q))
     elapsed = time.perf_counter() - start
     ok = worst_m <= 1e-12 and worst_q <= 1e-10

@@ -14,7 +14,7 @@ from sixstate.attack import (
     optimal_parameters,
     overlap_target,
     parameters_from_squares,
-    simulate_bob_flips,
+    simulate,
     simulate_eve_distribution,
 )
 from sixstate.exceptions import ConstraintError, DomainError
@@ -25,6 +25,13 @@ ORACLE_GRID = [
     for p in (0.0, 0.01, 0.05, 0.1, 0.2)
     for q in np.linspace(p / 2 + 0.01, 0.45, 5)
 ]
+
+
+# Input np.asarray(..., dtype=complex) cannot convert: text, ragged
+# nesting, a mapping.  The entry points refuse them as DomainError, and
+# numeric text of the right shape too, as the scalar validators do.
+NOT_ARRAYS_OF_NUMBERS = ["abcd", [[1.0], [1.0, 0.0]], {"a": 1}]
+NOT_ARRAYS_IDS = ["text", "ragged", "dict"]
 
 
 PAULI = {
@@ -44,14 +51,14 @@ def isometry_for(params):
     return build_isometry(d, build_ancillas(params))
 
 
-def simulated_qber(iso, p, basis):
-    w0, w1 = simulate_bob_flips(iso, p, basis)
-    return 0.5 * (w0 + w1)
+def simulated_qbers(iso, p):
+    """Bob's simulated error rate in each basis, in `BASES` order."""
+    return [0.5 * (w0 + w1) for w0, w1 in simulate(iso, p)[1]]
 
 
-def symmetry_residual(iso, p, basis):
-    w0, w1 = simulate_bob_flips(iso, p, basis)
-    return abs(w1 - w0)
+def symmetry_residuals(iso, p):
+    """``|w1 - w0|`` in each basis, in `BASES` order."""
+    return [abs(w1 - w0) for w0, w1 in simulate(iso, p)[1]]
 
 
 class TestAttackParameters:
@@ -255,7 +262,8 @@ class TestBuildIsometry:
                 build_isometry(d, anc)
 
     @pytest.mark.parametrize(
-        "anc", [np.eye(4)[0], np.eye(4)[:3], np.eye(4)[:, :3], np.eye(4)[..., None]]
+        "anc", [np.eye(4)[0], np.eye(4)[:3], np.eye(4)[:, :3], np.eye(4)[..., None],
+                *NOT_ARRAYS_OF_NUMBERS, np.eye(4).astype(str)]
     )
     def test_wrong_shape_refused(self, anc):
         with pytest.raises(DomainError, match=r"\(4, 4\) array"):
@@ -318,24 +326,24 @@ class TestSimulateQber:
     def test_identity_like_attack(self, basis):
         e = np.eye(4, dtype=complex)
         iso = build_isometry(0.0, np.array([e[1], e[0], e[1], e[3]]))
-        assert simulated_qber(iso, 0.1, basis) == pytest.approx(0.05)
+        assert simulated_qbers(iso, 0.1)[BASES.index(basis)] == pytest.approx(0.05)
 
     @pytest.mark.parametrize("basis", BASES)
     def test_reference_point(self, basis):
         p, q = 0.1, 0.23
         assert protocol.d_from_qber(q, p) == pytest.approx(0.2)
         iso = isometry_for(optimal_parameters(p, q))
-        assert simulated_qber(iso, p, basis) == pytest.approx(0.23, abs=1e-12)
+        assert simulated_qbers(iso, p)[BASES.index(basis)] == pytest.approx(0.23, abs=1e-12)
 
     def test_half_disturbance_z(self):
         params = antiphase_parameters(0.0, 0.5)
         iso = isometry_for(params)
-        assert simulated_qber(iso, 0.0, "z") == pytest.approx(0.5)
+        assert simulated_qbers(iso, 0.0)[BASES.index("z")] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("p,q", ORACLE_GRID)
     def test_basis_independence(self, p, q):
         iso = isometry_for(optimal_parameters(p, q))
-        rates = [simulated_qber(iso, p, b) for b in BASES]
+        rates = simulated_qbers(iso, p)
         assert max(rates) - min(rates) < 1e-10
         assert rates[0] == pytest.approx(q, abs=1e-10)
 
@@ -344,13 +352,12 @@ class TestBobSymmetry:
     @pytest.mark.parametrize("p,q", ORACLE_GRID)
     def test_constrained_attack_symmetric(self, p, q):
         iso = isometry_for(optimal_parameters(p, q))
-        for basis in BASES:
-            assert symmetry_residual(iso, p, basis) < 1e-12
+        assert max(symmetry_residuals(iso, p)) < 1e-12
 
     def test_identity_attack_symmetric(self):
         e = np.eye(4, dtype=complex)
         iso = build_isometry(0.0, np.array([e[1], e[0], e[1], e[3]]))
-        assert symmetry_residual(iso, 0.0, "z") == pytest.approx(0.0, abs=1e-15)
+        assert symmetry_residuals(iso, 0.0)[BASES.index("z")] == pytest.approx(0.0, abs=1e-15)
 
     def test_lopsided_attack_detected(self):
         # flip amplitude applied to one column only: Bob's errors become
@@ -361,7 +368,7 @@ class TestBobSymmetry:
         v[4, 0] = math.sqrt(d)      # flip |0> -> |1>, probe |00>
         v[6, 1] = 1.0               # keep |1> always, probe |10>
         assert is_isometry(v)
-        assert symmetry_residual(v, 0.0, "z") > 0.1
+        assert symmetry_residuals(v, 0.0)[BASES.index("z")] > 0.1
 
 
 class TestJointLayout:
@@ -385,8 +392,7 @@ class TestJointLayout:
     def test_product_isometry_leaves_bob_the_noise(self, probe, p):
         iso = self.product_isometry(probe)
         assert is_isometry(iso)
-        for basis in BASES:
-            w0, w1 = simulate_bob_flips(iso, p, basis)
+        for w0, w1 in simulate(iso, p)[1]:
             assert w0 == pytest.approx(p / 2, abs=1e-14)
             assert w1 == pytest.approx(p / 2, abs=1e-14)
 
@@ -414,7 +420,15 @@ class TestJointLayout:
         with pytest.raises(DomainError):
             simulate_eve_distribution(iso, 0.1)
         with pytest.raises(DomainError):
-            simulate_bob_flips(iso, 0.1, "z")
+            simulate(iso, 0.1)
+
+    @pytest.mark.parametrize("iso", [*NOT_ARRAYS_OF_NUMBERS, np.eye(8, 2).astype(str)],
+                             ids=[*NOT_ARRAYS_IDS, "numeric_text"])
+    def test_not_an_array_of_numbers_refused(self, iso):
+        with pytest.raises(DomainError, match=r"\(8, 2\) array"):
+            simulate_eve_distribution(iso, 0.1)
+        with pytest.raises(DomainError, match=r"\(8, 2\) array"):
+            simulate(iso, 0.1)
 
     def test_non_isometry_refused(self):
         # right shape, but V^dagger V = [[8, 8], [8, 8]]: the simulators
@@ -423,7 +437,7 @@ class TestJointLayout:
         with pytest.raises(DomainError, match="not orthonormal"):
             simulate_eve_distribution(iso, 0.1)
         with pytest.raises(DomainError, match="not orthonormal"):
-            simulate_bob_flips(iso, 0.1, "z")
+            simulate(iso, 0.1)
 
 
 def _joint_states_loop(iso, basis, p):
@@ -459,12 +473,10 @@ class TestOneTensor:
 
     def assert_matches_loop(self, iso, p):
         eve_ref, flips_ref = _simulate_loop(iso, p)
-        eve, flips = attack._simulate(iso, p)
+        eve, flips = simulate(iso, p)
         assert np.max(np.abs(eve - eve_ref)) <= self.TOL
         assert np.max(np.abs(np.array(flips) - flips_ref)) <= self.TOL
         assert np.array_equal(simulate_eve_distribution(iso, p), eve)
-        for basis, row in zip(BASES, flips):
-            assert simulate_bob_flips(iso, p, basis) == tuple(row)
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.9, 0.999])
     def test_random_isometries(self, p):
@@ -495,7 +507,7 @@ class TestOneTensor:
 
 
 class TestSignalStates:
-    """Alice's kets and the simulators' checks of p and basis."""
+    """Alice's kets and the simulators' checks of p."""
 
     @pytest.fixture
     def iso(self):
@@ -517,28 +529,16 @@ class TestSignalStates:
         gram = np.array([[np.vdot(a, b) for b in kets] for a in kets])
         assert np.allclose(gram, np.eye(2), rtol=0, atol=1e-15)
 
-    def test_unknown_basis_refused(self, iso):
-        with pytest.raises(DomainError, match="basis must be one of"):
-            simulate_bob_flips(iso, 0.1, "w")
-
     @pytest.mark.parametrize("p", [1.0, -0.1])
     def test_p_outside_range_refused(self, iso, p):
         with pytest.raises(DomainError, match="noise parameter p"):
             simulate_eve_distribution(iso, p)
         with pytest.raises(DomainError, match="noise parameter p"):
-            simulate_bob_flips(iso, p, "z")
+            simulate(iso, p)
 
     @pytest.mark.parametrize("p", ["0.1", b"0.1", None, 1j])
     def test_non_number_p_refused(self, iso, p):
         with pytest.raises(DomainError, match="noise parameter p"):
             simulate_eve_distribution(iso, p)
         with pytest.raises(DomainError, match="noise parameter p"):
-            simulate_bob_flips(iso, p, "z")
-
-    def test_non_number_p_named_before_bad_basis(self, iso):
-        with pytest.raises(DomainError, match="noise parameter p is text"):
-            simulate_bob_flips(iso, "0.1", "w")
-
-    def test_bad_p_named_before_bad_basis(self, iso):
-        with pytest.raises(DomainError, match=r"noise parameter p=1\.5 outside"):
-            simulate_bob_flips(iso, 1.5, "w")
+            simulate(iso, p)

@@ -2,7 +2,9 @@
 
 Every check holds on the lattice ``p = linspace(0, 0.99, 10)`` and, for
 each p, ``q = linspace(p/2, 1/2, 10)``, both q endpoints included, and
-on seeded uniform random points of the domain.  Noise raises the
+on seeded uniform random points of the domain; `analysis.verify_checks`
+passes all seven checks on a seeded lattice of 2,000 points that holds
+q = p/2 and q = 1/2 in every p row.  Noise raises the
 threshold over the whole crossing domain, and on every search bracket
 Bob's advantage over Eve falls strictly.  Every count is refused when
 it lies above its bound, before anything is allocated, and when it is
@@ -47,6 +49,28 @@ def test_all_checks_hold(points, capsys):
         assert res.residual_norm <= 1e-12, (p, q)
         if q > p / 2.0:
             assert optimize.verify_root_pair(p, q), (p, q)
+
+
+def _verify_lattice(rows, per_row, seed):
+    """(p, q) points: p stratified over [0, 0.95], both ends included; each
+    row holds q = p/2, q = 1/2 and per_row - 2 seeded q in between."""
+    rng = np.random.default_rng(seed)
+    ps = [0.0, *((np.arange(1, rows - 1) + rng.uniform(size=rows - 2)) * 0.95 / (rows - 1)),
+          0.95]
+    return [(p, q) for p in ps
+            for q in (p / 2.0, 0.5, *rng.uniform(p / 2.0, 0.5, per_row - 2).tolist())]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_checks_whole_domain():
+    # The p -> 1 band stays with the two strict xfails below.
+    points = _verify_lattice(100, 20, seed=1818)
+    assert len(points) == 2000
+    for p, q in points:
+        checks, advantage = analysis.verify_checks(p, q)
+        failed = [name for name, passed, _ in checks if not passed]
+        assert len(checks) == 7 and not failed, (p, q, failed)
+        assert math.isfinite(advantage), (p, q)
 
 
 @pytest.mark.xfail(strict=True, raises=ConstraintError,

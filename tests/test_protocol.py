@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sixstate import attack
-from sixstate.attack import BASES, simulate_bob_flips
+from sixstate.attack import BASES, simulate
 from sixstate.exceptions import DomainError
 from sixstate.protocol import d_from_qber
 
@@ -24,7 +24,7 @@ def test_noisy_signal_zero_noise_is_pure(basis):
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
 def test_qber_of_undisturbed_noisy_states(basis, p):
     # without any attack the only errors come from the source noise
-    w0, w1 = simulate_bob_flips(_NO_ATTACK, p, basis)
+    w0, w1 = simulate(_NO_ATTACK, p)[1][BASES.index(basis)]
     assert w0 == pytest.approx(p / 2)
     assert w1 == pytest.approx(p / 2)
 
