@@ -4,7 +4,11 @@ Four subcommands: ``curves`` and ``crossing`` emit CSV data for the
 two standard plots, ``optimize`` cross-checks the closed-form optimum
 against the brute-force grid search, and ``verify`` prints the bundle of
 consistency checks of `sixstate.analysis.verify_checks` at one
-parameter point, one PASS/FAIL line per check.
+parameter point, one PASS/FAIL line per check.  `COMMANDS` declares each
+subcommand once: its help, its handler and its options.  A call builds
+only its own subcommand's options, because building all four would cost
+more than a ``verify`` does; help, usage and error output are the same
+as with every option built.
 
 Data goes to stdout or the ``--out`` file; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments or
@@ -109,7 +113,43 @@ def cmd_verify(args):
     return 0 if all(ok for _, ok, _ in checks) else 1
 
 
-def build_parser():
+_P = ("--p", dict(type=float, required=True, help="source noise weight in [0, 1)"))
+_Q = ("--q", dict(type=float, required=True, help="error rate in [p/2, 1/2]"))
+_OUT = ("--out", dict(default=None, help="output CSV path (default stdout)"))
+
+# name -> (help, handler, options as (flag, add_argument kwargs)), in the
+# order the top-level help lists them
+COMMANDS = {
+    "curves": ("emit information-vs-error-rate curve data as CSV", cmd_curves, [
+        _P,
+        ("--steps", dict(type=int, default=200, help="grid points over [p/2, 1/2]")),
+        _OUT,
+    ]),
+    "crossing": ("emit crossing-threshold sweep as CSV", cmd_crossing, [
+        ("--p-min", dict(type=float, default=0.0, help="lowest noise weight")),
+        ("--p-max", dict(type=float, default=0.2, help="highest noise weight")),
+        ("--steps", dict(type=int, default=21, help="number of sweep points")),
+        ("--tol", dict(type=float, default=1e-9, help="bisection bracket width")),
+        _OUT,
+    ]),
+    "optimize": ("compare the closed-form optimum against the grid search", cmd_optimize, [
+        _P, _Q,
+        ("--grid", dict(type=int, default=201, help="lattice points per axis")),
+        ("--refine", dict(type=int, default=6, help="refinement rounds")),
+        ("--tol", dict(type=float, default=1e-6, help="allowed |closed - grid|")),
+        ("--out", dict(default=None, help="optional CSV summary path")),
+    ]),
+    "verify": ("run the consistency-check bundle at one point", cmd_verify, [_P, _Q]),
+}
+
+
+def build_parser(command=None):
+    """The argument parser, with the options of `command`'s subcommand only.
+
+    Every subcommand is registered with its help, so the top-level help,
+    usage and errors do not depend on `command`.  When `command` is None
+    or not a subcommand name, every subcommand gets its options.
+    """
     parser = argparse.ArgumentParser(
         prog="sixstate",
         description=(
@@ -118,42 +158,19 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("curves", help="emit information-vs-error-rate curve data as CSV")
-    c.add_argument("--p", type=float, required=True, help="source noise weight in [0, 1)")
-    c.add_argument("--steps", type=int, default=200, help="grid points over [p/2, 1/2]")
-    c.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    c.set_defaults(func=cmd_curves)
-
-    c = sub.add_parser("crossing", help="emit crossing-threshold sweep as CSV")
-    c.add_argument("--p-min", type=float, default=0.0, help="lowest noise weight")
-    c.add_argument("--p-max", type=float, default=0.2, help="highest noise weight")
-    c.add_argument("--steps", type=int, default=21, help="number of sweep points")
-    c.add_argument("--tol", type=float, default=1e-9, help="bisection bracket width")
-    c.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    c.set_defaults(func=cmd_crossing)
-
-    c = sub.add_parser(
-        "optimize", help="compare the closed-form optimum against the grid search"
-    )
-    c.add_argument("--p", type=float, required=True, help="source noise weight in [0, 1)")
-    c.add_argument("--q", type=float, required=True, help="error rate in [p/2, 1/2]")
-    c.add_argument("--grid", type=int, default=201, help="lattice points per axis")
-    c.add_argument("--refine", type=int, default=6, help="refinement rounds")
-    c.add_argument("--tol", type=float, default=1e-6, help="allowed |closed - grid|")
-    c.add_argument("--out", default=None, help="optional CSV summary path")
-    c.set_defaults(func=cmd_optimize)
-
-    c = sub.add_parser("verify", help="run the consistency-check bundle at one point")
-    c.add_argument("--p", type=float, required=True, help="source noise weight in [0, 1)")
-    c.add_argument("--q", type=float, required=True, help="error rate in [p/2, 1/2]")
-    c.set_defaults(func=cmd_verify)
-
+    every = command not in COMMANDS
+    for name, (help_, func, options) in COMMANDS.items():
+        c = sub.add_parser(name, help=help_)
+        if every or name == command:
+            for flag, kwargs in options:
+                c.add_argument(flag, **kwargs)
+        c.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -325,3 +325,20 @@ class TestKeyFeasible:
         q_cross = crossing_point(p).q_cross
         assert _feasible(p, q_cross - 1e-6)
         assert not _feasible(p, q_cross + 1e-6)
+
+
+@pytest.mark.parametrize("p, q", [(0.05, 0.15), (0.3, 0.4)])
+def test_verify_error_rate_is_the_mean_of_both_flips(p, q, monkeypatch):
+    # An asymmetric channel whose flips average to q in every basis: the
+    # error-rate check must compare their mean, not one flip, with q.
+    real = analysis.simulate
+
+    def asymmetric(iso, p):
+        eve, flips = real(iso, p)
+        return eve, [[q - 1e-6, q + 1e-6] for _ in flips]
+
+    monkeypatch.setattr(analysis, "simulate", asymmetric)
+    checks, _ = analysis.verify_checks(p, q)
+    passed = {name: ok for name, ok, _ in checks}
+    assert passed["error rate all bases"]
+    assert not passed["bob symmetry"]

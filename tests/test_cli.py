@@ -1,4 +1,7 @@
+import argparse
 import ast
+import contextlib
+import io
 import dataclasses
 import math
 import pathlib
@@ -286,3 +289,74 @@ def test_cli_uses_no_private_name_of_another_module():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in modules and node.attr.startswith("_")}
     assert used <= allowed
+
+
+# help, missing, unknown and repeated options, a second command name later
+# in argv, "--", an unknown command and the top-level help
+_PARSE_CASES = [
+    [], ["-h"], ["--help"], ["-h", "verify"], ["--"], ["--", "verify"], ["bogus"], ["verif"],
+    ["VERIFY"], ["--p", "0.1"], ["-x"],
+    ["curves", "-h"], ["crossing", "-h"], ["optimize", "-h"], ["verify", "-h"],
+    ["curves"], ["crossing", "--bogus"], ["optimize", "--p", "0.1"], ["verify"],
+    ["verify", "--q", "0.1"], ["verify", "--p", "x", "--q", "0.1"], ["verify", "--bogus"],
+    ["verify", "--p", "0.1", "--q"], ["crossing", "--p", "0.1"], ["optimize", "--grid", "x"],
+    ["verify", "--p", "0.3", "--p", "0.05", "--q", "0.15"],
+    ["curves", "--p", "0.05", "--steps", "3", "--steps", "2"],
+    ["verify", "--p", "0.05", "--q", "0.15", "curves"], ["curves", "--p", "0.05", "verify"],
+    ["verify", "verify"], ["crossing", "crossing", "--steps", "1"],
+    ["verify", "--", "--p", "0.1"], ["verify", "--p", "0.05", "--q", "0.15", "--"],
+    ["curves", "--p", "0.05", "--steps", "3", "-h"], ["verify", "--p", "0.05", "--q", "0.01"],
+]
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+def test_per_command_parser_matches_full_tree(columns, monkeypatch):
+    # main builds only argv[0]'s options; every byte it prints and its exit
+    # code must be those of the parser that holds every subcommand's options
+    monkeypatch.setenv("COLUMNS", columns)
+    per_command = [_outcome(argv) for argv in _PARSE_CASES]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert per_command == [_outcome(argv) for argv in _PARSE_CASES]
+
+
+def _subcommand_flags(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [flag for a in sub._actions for flag in a.option_strings]
+            for name, sub in action.choices.items()}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_build_parser_adds_only_the_named_options(command):
+    full = _subcommand_flags(cli.build_parser())
+    assert list(full) == ["curves", "crossing", "optimize", "verify"]
+    for other in (None, "-h", "--", "bogus"):
+        assert _subcommand_flags(cli.build_parser(other)) == full
+    only = _subcommand_flags(cli.build_parser(command))
+    assert only == {name: flags if name == command else ["-h", "--help"]
+                    for name, flags in full.items()}
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    monkeypatch.setattr(sys, "argv", ["sixstate", "verify", "--p", "0.05", "--q", "0.15"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.count("PASS") == 7
+    assert built == ["verify"]
