@@ -301,11 +301,11 @@ def _crossings(ps, tol):
 def verify_checks(p, q):
     """Check the optimal attack at (p, q) against the simulation and the optimum.
 
-    Validates (p, q) once, builds the attack of `optimal_parameters` and
-    its isometry, simulates it once, and evaluates the closed forms on
-    the validated pair.  Returns ``(checks, advantage)``: ``checks`` is a
-    list of seven ``(name, passed, detail)`` triples, in this order and
-    with these bounds,
+    Builds the attack of `optimal_parameters`, which validates (p, q),
+    and its isometry, simulates it once, and evaluates the closed forms
+    on the validated pair that the attack holds.  Returns ``(checks,
+    advantage)``: ``checks`` is a list of seven ``(name, passed,
+    detail)`` triples, in this order and with these bounds,
 
     - "constraints": ``|Re<a|c> - overlap_target|`` at most 1e-10;
     - "outcome distribution": closed-form against simulated outcomes of
@@ -327,8 +327,8 @@ def verify_checks(p, q):
     ConstraintError
         If building or checking the attack breaks an internal invariant.
     """
-    p, q = check_domain(p, q)
     params = optimal_parameters(p, q)
+    p, q = params.p, params.q
     iso = build_isometry(_disturbance(q, p), build_ancillas(params))
     residual = abs(params.overlap - overlap_target(p, q))
     closed = eve_distribution_closed_form(params)

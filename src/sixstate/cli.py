@@ -75,28 +75,28 @@ def cmd_optimize(args):
     tol = protocol.check_range(args.tol, 0.0, math.inf, "tol")
     closed = info.i_ae_optimal(p, q)
     result = optimize.grid_refine_maximize(p, q, grid=args.grid, refine_iters=args.refine)
-    diff = abs(closed - result.best_value)
-    plus = info.beta_sq_optimal(p, q, "plus")
-    minus = info.beta_sq_optimal(p, q, "minus")
-    alt = info.i_ae_antiphase(p, q)
     lr = optimize.lagrange_residual(attack.optimal_parameters(p, q))
-    report = [
-        f"i_ae_closed = {_fmt(closed)}",
-        f"i_ae_grid = {_fmt(result.best_value)}",
-        f"abs_diff = {_fmt(diff)}",
-        f"beta_sq_plus = {_fmt(plus)}",
-        f"beta_sq_minus = {_fmt(minus)}",
-        f"grid_beta_a_sq = {_fmt(result.best_params.beta_a_sq)}",
-        f"i_ae_antiphase = {_fmt(alt)}",
-        f"lagrange_residual = {_fmt(lr.residual_norm)}"
-        + (" (degenerate point)" if lr.degenerate else ""),
-        f"branch = {result.branch}",
-        f"evaluations = {result.evaluations}",
-    ]
+    values = {
+        "p": p,
+        "q": q,
+        "i_ae_closed": closed,
+        "i_ae_grid": result.best_value,
+        "abs_diff": abs(closed - result.best_value),
+        "beta_sq_plus": info.beta_sq_optimal(p, q, "plus"),
+        "beta_sq_minus": info.beta_sq_optimal(p, q, "minus"),
+        "grid_beta_a_sq": result.best_params.beta_a_sq,
+        "i_ae_antiphase": info.i_ae_antiphase(p, q),
+        "lagrange_residual": lr.residual_norm,
+    }
+    report = [f"{name} = {_fmt(x)}" for name, x in list(values.items())[2:]]
+    if lr.degenerate:
+        report[-1] += " (degenerate point)"
+    report += [f"branch = {result.branch}", f"evaluations = {result.evaluations}"]
     _write_lines(None, report)
     if args.out is not None:
-        row = (p, q, closed, result.best_value, diff, plus, minus, alt, lr.residual_norm)
+        row = operator.itemgetter(*OPTIMIZE_HEADER.split(","))(values)
         _write_lines(args.out, _csv(OPTIMIZE_HEADER, [row]))
+    diff = values["abs_diff"]
     if diff > tol:
         print(
             f"mismatch: |closed - grid| = {_fmt(diff)} exceeds tol {_fmt(tol)}",

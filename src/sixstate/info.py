@@ -8,8 +8,8 @@ Eve's outcome weights are written once, in `_weights`.  Her information
 has two kernels, written apart: `_i_ae` for any four squared probe
 weights, which the grid search of `sixstate.optimize` maximizes, and
 `_i_ae_aligned`, the paper's closed form on the aligned-phase branch,
-behind `i_ae_closed_form`, `i_ae_optimal` and the sweeps of
-`sixstate.analysis`.  At aligned weights the two agree to round-off
+behind `i_ae_optimal`, the sweeps of `sixstate.analysis` and its
+"branch symmetry" check.  At aligned weights the two agree to round-off
 (within 2e-15 on a 96 by 2,001 domain lattice in tests/test_info.py), so
 the grid search's agreement with the closed form tests the paper's
 formula, not one kernel against itself.  The kernels broadcast over
@@ -34,13 +34,12 @@ outcome table of the eavesdropper, and the brute-force search in
 import numpy as np
 
 from .exceptions import DomainError
-from .protocol import _disturbance, check_domain, check_range
+from .protocol import _disturbance, check_domain
 
 __all__ = [
     "mutual_information",
     "i_ab",
     "beta_sq_optimal",
-    "i_ae_closed_form",
     "i_ae_optimal",
     "i_ae_antiphase",
 ]
@@ -198,13 +197,16 @@ def beta_sq_optimal(p, q, branch="plus"):
 
 
 def _i_ae_aligned(p, q, beta_sq):
-    """The paper's closed form, `i_ae_closed_form`; broadcasts, checks nothing.
+    """Eve's information on the aligned-phase branch; broadcasts, checks nothing.
 
-    ``1 + pref h(x) + d h(p/2)`` with ``x = (1 - p) beta_sq + p/2``,
-    ``h(x) = x log2 x + (1 - x) log2 (1 - x)`` and pref and d as in
-    `_weights`.  This is `_i_ae` at the weights ``(beta_sq, 1 - beta_sq,
-    1 - beta_sq, beta_sq)``, evaluated apart from it.  beta_sq holds the
-    shape into which p and q broadcast.
+    The paper's closed form ``1 + pref h(x) + d h(p/2)`` with
+    ``x = (1 - p) beta_sq + p/2``, ``h(x) = x log2 x + (1 - x) log2 (1 - x)``,
+    ``pref = (1 - p/2 - q) / (1 - p)`` and ``d = (q - p/2) / (1 - p)``.
+    This is `_i_ae` at the weights ``(beta_sq, 1 - beta_sq, 1 - beta_sq,
+    beta_sq)``, evaluated apart from it.  Swapping ``beta_sq`` for
+    ``1 - beta_sq`` turns x into ``1 - x``, which leaves h(x) and so the
+    value unchanged.  beta_sq holds the shape into which p and q
+    broadcast.
     """
     half = p / 2.0
     x = (1.0 - p) * beta_sq + half
@@ -216,22 +218,6 @@ def _i_ae_aligned(p, q, beta_sq):
     return s
 
 
-def i_ae_closed_form(p, q, beta_sq):
-    """Eve's information for a given probe weight on the aligned-phase branch.
-
-    With ``x = (1 - p) beta_sq + p/2`` this is
-
-        1 + ((1 - p/2 - q) / (1 - p)) * (x log2 x + (1 - x) log2 (1 - x))
-          + ((q - p/2) / (1 - p)) * ((p/2) log2 (p/2) + (1 - p/2) log2 (1 - p/2)).
-
-    Swapping ``beta_sq`` for ``1 - beta_sq`` swaps the two logarithm
-    terms of the first brace and leaves the value unchanged.
-    """
-    p, q = check_domain(p, q)
-    beta_sq = check_range(beta_sq, 0.0, 1.0, "beta_sq")
-    return float(_i_ae_aligned(p, q, beta_sq))
-
-
 def _i_ae_optimal(p, q):
     value = _i_ae_aligned(p, q, _beta_sq(p, q, 1.0))
     return np.where(q <= p / 2.0, 0.0, value)
@@ -240,9 +226,9 @@ def _i_ae_optimal(p, q):
 def i_ae_optimal(p, q):
     """Eve's maximal information at noise p and error rate q.
 
-    Evaluates `i_ae_closed_form` at the plus root of `beta_sq_optimal`.
-    Returns exactly 0 at q = p/2, where the probe cannot interact
-    without raising the error rate.
+    Evaluates the paper's closed form (`_i_ae_aligned`) at the plus root
+    of `beta_sq_optimal`.  Returns exactly 0 at q = p/2, where the probe
+    cannot interact without raising the error rate.
     """
     p, q = check_domain(p, q)
     return float(_i_ae_optimal(p, q))

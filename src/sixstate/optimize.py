@@ -70,16 +70,13 @@ class OptimizationResult:
 
 @dataclasses.dataclass(frozen=True)
 class LagrangeResidual:
-    """Least-squares multipliers and residual of the stationarity system.
+    """Least-squares residual of the stationarity system.
 
     degenerate marks points where the system carries no information
     (the information surface is identically zero on the feasible set,
     q = p/2 within 1e-12); there the residual is reported as 0.
     """
 
-    lambda1: float
-    lambda2: float
-    lambda3: float
     residual_norm: float
     degenerate: bool = False
 
@@ -118,10 +115,9 @@ def feasible_phase(r_beta_a_sq, r_beta_c_sq, p, q):
     two stationarity tests build feasible off-optimum points with it,
     on the grid's own feasibility rule.
     """
-    p, q = check_domain(p, q)
+    t = overlap_target(p, q)
     ba = check_range(r_beta_a_sq, 0.0, 1.0, "squared weight")
     bc = check_range(r_beta_c_sq, 0.0, 1.0, "squared weight")
-    t = overlap_target(p, q)
     pb, pg = _products(ba, bc)
     if not _feasible(t, pb, pg):
         return None
@@ -274,9 +270,9 @@ def lagrange_residual(params):
 
     Builds the four stationarity equations (one per radius) in the
     three multipliers of the overlap and norm constraints, using Eve's
-    outcome probabilities, and solves them in least squares.  The
-    residual 2-norm is ~0 at a true constrained optimum and order one a
-    short distance away.
+    outcome probabilities, and fits the multipliers in least squares.
+    Only the residual 2-norm of that fit is returned: it is ~0 at a true
+    constrained optimum and order one a short distance away.
 
     Raises
     ------
@@ -295,7 +291,7 @@ def lagrange_residual(params):
     if q - p / 2.0 <= _FEAS_SLACK:
         # The information vanishes identically on the feasible set, so
         # stationarity holds trivially and the fit is meaningless.
-        return LagrangeResidual(0.0, 0.0, 0.0, 0.0, degenerate=True)
+        return LagrangeResidual(0.0, degenerate=True)
 
     half = p / 2.0
     _, pref, beta, gamma = _weights(p, q, rba ** 2, rbc ** 2, rga ** 2, rgc ** 2)
@@ -327,10 +323,7 @@ def lagrange_residual(params):
         ]
     )
     lam, _, _, _ = np.linalg.lstsq(coeff, rhs, rcond=None)
-    residual = float(np.linalg.norm(coeff @ lam - rhs))
-    return LagrangeResidual(
-        float(lam[0]), float(lam[1]), float(lam[2]), residual, degenerate=False
-    )
+    return LagrangeResidual(float(np.linalg.norm(coeff @ lam - rhs)))
 
 
 def phase_branch_scan(p, q, cos_sign, samples=2001):
@@ -399,7 +392,6 @@ def verify_root_pair(p, q):
     stationary weights within 1e-3.  Degenerate geometries where the
     arc collapses to a point count as a coincident pair.
     """
-    p, q = check_domain(p, q)
     ba, bc, vals = phase_branch_scan(p, q, 1, samples=_PAIR_SAMPLES)
     maxima = _local_max_runs(vals)
     if maxima.size != 1:

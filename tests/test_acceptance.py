@@ -99,8 +99,8 @@ def test_acceptance_5_branch_dominance_and_symmetry():
             opt = info.i_ae_optimal(p, q)
             worst_dom = max(worst_dom, info.i_ae_antiphase(p, q) - opt)
             swap = abs(
-                info.i_ae_closed_form(p, q, info.beta_sq_optimal(p, q, "plus"))
-                - info.i_ae_closed_form(p, q, info.beta_sq_optimal(p, q, "minus"))
+                float(info._i_ae_aligned(p, q, info.beta_sq_optimal(p, q, "plus")))
+                - float(info._i_ae_aligned(p, q, info.beta_sq_optimal(p, q, "minus")))
             )
             worst_sym = max(worst_sym, swap)
     elapsed = time.perf_counter() - start

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sixstate
-from sixstate import analysis, info
+from sixstate import analysis, info, optimize
 from sixstate.analysis import (
     PURE_CROSSING_D,
     CrossingResult,
@@ -156,6 +156,8 @@ class TestCrossingSweep:
             crossing_sweep(0.0, 0.2, steps=0)
         with pytest.raises(DomainError):
             crossing_sweep(0.0, 0.2, steps=1)
+        with pytest.raises(DomainError, match="need p_min < p_max"):
+            crossing_sweep(0.1, 0.1, steps=2)
 
     def test_round_off_outside_range_is_clamped(self):
         # the same 1e-12 clamp as crossing_point
@@ -342,3 +344,58 @@ def test_verify_error_rate_is_the_mean_of_both_flips(p, q, monkeypatch):
     passed = {name: ok for name, ok, _ in checks}
     assert passed["error rate all bases"]
     assert not passed["bob symmetry"]
+
+
+# verify_checks' checks in order, with the bound each compares its value with
+_VERIFY_BOUNDS = {
+    "constraints": 1e-10,
+    "outcome distribution": 1e-12,
+    "error rate all bases": 1e-10,
+    "bob symmetry": 1e-12,
+    "branch dominance": 1e-12,
+    "branch symmetry": 1e-14,
+    "stationarity": 1e-6,
+}
+
+
+def _set_check_value(m, name, v):
+    """Patch the bindings verify_checks reads so that check `name` reads v.
+
+    Each shift makes the signed difference negative, so a check that
+    dropped its abs() would pass where it must fail.
+    """
+    if name == "constraints":
+        real_target = analysis.overlap_target
+        m.setattr(analysis, "overlap_target", lambda p, q: real_target(p, q) + v)
+    elif name in ("outcome distribution", "error rate all bases", "bob symmetry"):
+        real_simulate = analysis.simulate
+        eve_shift = v if name == "outcome distribution" else 0.0
+        s0, s1 = {"error rate all bases": (-v, -v),
+                  "bob symmetry": (v / 2, -v / 2)}.get(name, (0.0, 0.0))
+
+        def shifted(iso, p):
+            eve, flips = real_simulate(iso, p)
+            eve = eve.copy()
+            eve[1] += eve_shift
+            return eve, [[w0 + s0, w1 + s1] for w0, w1 in flips]
+        m.setattr(analysis, "simulate", shifted)
+    elif name == "branch dominance":
+        m.setattr(analysis, "_i_ae_antiphase", lambda p, q: info._i_ae_optimal(p, q) + v)
+    elif name == "branch symmetry":
+        real_aligned = analysis._i_ae_aligned
+        m.setattr(analysis, "_i_ae_aligned",
+                  lambda p, q, b: real_aligned(p, q, b) + (v if b < 0.5 else 0.0))
+    else:
+        m.setattr(analysis, "lagrange_residual", lambda params: optimize.LagrangeResidual(v))
+
+
+@pytest.mark.parametrize("name", list(_VERIFY_BOUNDS))
+def test_verify_check_bound_pinned(name, monkeypatch):
+    # At half its bound the check passes, at twice its bound it fails, and
+    # no other check moves.
+    for factor, expected in ((0.5, True), (2.0, False)):
+        with monkeypatch.context() as m:
+            _set_check_value(m, name, factor * _VERIFY_BOUNDS[name])
+            checks, _ = analysis.verify_checks(0.05, 0.15)
+        assert [n for n, _, _ in checks] == list(_VERIFY_BOUNDS)
+        assert {n: ok for n, ok, _ in checks} == {n: n != name or expected for n in _VERIFY_BOUNDS}

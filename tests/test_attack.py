@@ -260,6 +260,11 @@ class TestBuildIsometry:
         for d in (0.0, 0.3, 0.5):
             with pytest.raises(ConstraintError, match="not isometric"):
                 build_isometry(d, anc)
+        # a norm off by 1e-9 breaks the 1e-10 Gram check too
+        anc = build_ancillas(optimal_parameters(0.05, 0.15))
+        anc[0] *= 1.0 + 1e-9
+        with pytest.raises(ConstraintError, match="not isometric"):
+            build_isometry(protocol.d_from_qber(0.15, 0.05), anc)
 
     @pytest.mark.parametrize(
         "anc", [np.eye(4)[0], np.eye(4)[:3], np.eye(4)[:, :3], np.eye(4)[..., None],
@@ -438,6 +443,12 @@ class TestJointLayout:
             simulate_eve_distribution(iso, 0.1)
         with pytest.raises(DomainError, match="not orthonormal"):
             simulate(iso, 0.1)
+        # a Gram residual of 1e-9 is past the 1e-10 bound
+        iso = isometry_for(optimal_parameters(0.05, 0.15))
+        iso[:, 0] *= math.sqrt(1.0 + 1e-9)
+        assert attack._gram_residual(iso) == pytest.approx(1e-9, rel=1e-3)
+        with pytest.raises(DomainError, match="not orthonormal"):
+            simulate(iso, 0.05)
 
 
 def _joint_states_loop(iso, basis, p):

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from sixstate import analysis, attack, cli, info, protocol
+from sixstate import analysis, attack, cli, info, optimize, protocol
 from sixstate.exceptions import ConstraintError, NoCrossingError
 
 
@@ -135,6 +135,8 @@ class TestCrossing:
     def test_bad_range_exit_code(self, capsys):
         assert cli.main(["crossing", "--p-min", "0.3", "--p-max", "0.1"]) == 2
         assert "error:" in capsys.readouterr().err
+        assert cli.main(["crossing", "--p-min", "0.1", "--p-max", "0.1", "--steps", "2"]) == 2
+        assert "need p_min < p_max" in capsys.readouterr().err
 
     def test_search_failure_exit_code(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
@@ -190,6 +192,15 @@ class TestOptimize:
         assert code == 4
         assert "mismatch" in capsys.readouterr().err
 
+    def test_tol_boundary(self, capsys):
+        # the report fails exactly when |closed - grid| exceeds --tol
+        diff = abs(info.i_ae_optimal(0.05, 0.1)
+                   - optimize.grid_refine_maximize(0.05, 0.1).best_value)
+        assert diff > 0.0
+        for tol, code in ((diff / 2, 4), (diff * 2, 0)):
+            assert cli.main(["optimize", "--p", "0.05", "--q", "0.1", "--tol", repr(tol)]) == code
+            assert ("mismatch" in capsys.readouterr().err) == (code == 4)
+
     def test_invalid_point_exit_code(self, capsys):
         assert cli.main(["optimize", "--p", "0.05", "--q", "0.01"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -224,6 +235,18 @@ class TestVerify:
         assert cli.main(["verify", "--p", "0.9", "--q", "0.5"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_one_failed_check_exits_one(self, monkeypatch, capsys):
+        # a stationarity residual past its bound fails that check alone,
+        # and one failed check is enough for exit code 1
+        monkeypatch.setattr(analysis, "lagrange_residual",
+                            lambda params: optimize.LagrangeResidual(1e-3))
+        assert cli.main(["verify", "--p", "0.05", "--q", "0.15"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL stationarity (residual 1.000e-03)"
+        ]
+        assert sum(line.startswith("PASS") for line in lines) == 6
+
     def test_internal_error_is_not_an_argument_error(self, monkeypatch):
         def boom(*args, **kwargs):
             raise ConstraintError("forced for the test")
@@ -233,8 +256,8 @@ class TestVerify:
             cli.main(["verify", "--p", "0.05", "--q", "0.15"])
 
     def test_validators_called_few_times(self, monkeypatch):
-        # (p, q) is validated once by verify_checks; the rest are the
-        # checks of the public attack functions it builds on
+        # (p, q) is validated first by optimal_parameters; the rest are the
+        # checks of the public attack functions verify_checks builds on
         calls = {"check_domain": 0, "check_range": 0, "_float": 0}
         for name in calls:
             real = getattr(protocol, name)
@@ -246,9 +269,9 @@ class TestVerify:
                 if module.__name__.startswith("sixstate") and vars(module).get(name) is real:
                     monkeypatch.setattr(module, name, wrapper)
         assert cli.main(["verify", "--p", "0.05", "--q", "0.15"]) == 0
-        assert calls["check_domain"] <= 7
-        assert calls["check_range"] <= 8
-        assert calls["_float"] <= 20
+        assert calls["check_domain"] <= 6
+        assert calls["check_range"] <= 7
+        assert calls["_float"] <= 18
 
     def test_one_simulation_per_run(self, monkeypatch):
         # one joint-state tensor serves all three bases, and the isometry

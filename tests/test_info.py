@@ -5,12 +5,12 @@ from sixstate import attack, info
 from sixstate.exceptions import DomainError
 from sixstate.info import (
     _i_ae,
+    _i_ae_aligned,
     _tau,
     _xlog2,
     beta_sq_optimal,
     i_ab,
     i_ae_antiphase,
-    i_ae_closed_form,
     i_ae_optimal,
     mutual_information,
 )
@@ -165,6 +165,9 @@ class TestTau:
 def test_check_domain_clamps_boundary_roundoff():
     p, q = check_domain(0.1, 0.05 - 1e-14)
     assert q == 0.05
+    # up to 1e-12 past either edge of q is round-off
+    assert check_domain(0.1, 0.05 - 5e-13) == (0.1, 0.05)
+    assert check_domain(0.1, 0.5 + 5e-13) == (0.1, 0.5)
 
 
 def test_check_domain_rejects():
@@ -174,6 +177,11 @@ def test_check_domain_rejects():
         check_domain(0.1, 0.04)
     with pytest.raises(DomainError):
         check_domain(0.0, 0.51)
+    # beyond the 1e-12 round-off allowance
+    with pytest.raises(DomainError):
+        check_domain(0.1, 0.05 - 2e-12)
+    with pytest.raises(DomainError):
+        check_domain(0.1, 0.5 + 2e-12)
 
 
 class TestMutualInformation:
@@ -194,10 +202,18 @@ class TestMutualInformation:
     def test_rejects_bad_total(self):
         with pytest.raises(DomainError):
             mutual_information(np.full((2, 2), 0.3))
+        # a total off by 5e-11 is round-off, by 2e-10 it is not
+        assert mutual_information([[0.5, 0.0], [0.0, 0.5 + 5e-11]]) == pytest.approx(1.0)
+        with pytest.raises(DomainError, match="sums to"):
+            mutual_information([[0.5, 0.0], [0.0, 0.5 + 2e-10]])
 
     def test_rejects_negative_entry(self):
         with pytest.raises(DomainError):
             mutual_information(np.array([[0.6, -0.1], [0.3, 0.2]]))
+        # an entry of -5e-13 is round-off, one of -2e-12 is not
+        assert mutual_information([[0.5, -5e-13], [5e-13, 0.5]]) == pytest.approx(1.0)
+        with pytest.raises(DomainError, match="negative entry"):
+            mutual_information([[0.5, -2e-12], [2e-12, 0.5]])
 
     @pytest.mark.parametrize("joint", [
         [[0.5, np.nan], [0.25, 0.25]],
@@ -270,8 +286,9 @@ class TestIAEOptimal:
 
     @pytest.mark.parametrize("p,q", GRID)
     def test_branch_swap_invariance(self, p, q):
-        plus = i_ae_closed_form(p, q, beta_sq_optimal(p, q, "plus"))
-        minus = i_ae_closed_form(p, q, beta_sq_optimal(p, q, "minus"))
+        # the kernel behind verify's "branch symmetry" check
+        plus = float(_i_ae_aligned(p, q, beta_sq_optimal(p, q, "plus")))
+        minus = float(_i_ae_aligned(p, q, beta_sq_optimal(p, q, "minus")))
         assert abs(plus - minus) <= 1e-14
 
     @pytest.mark.parametrize("p,q", GRID)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -133,6 +134,13 @@ class TestLagrangeResidual:
         bad = attack.parameters_from_squares(0.05, 0.15, 0.9, 0.9, 1.0)
         with pytest.raises(ConstraintError):
             lagrange_residual(bad)
+        # an overlap 1e-7 off its target is past the 1e-8 bound
+        opt = attack.optimal_parameters(0.05, 0.15)
+        cos = 1.0 - 1e-7 / (opt.r_gamma_a * opt.r_gamma_c)
+        bad = dataclasses.replace(opt, delta_phi=math.acos(cos))
+        assert opt.overlap - bad.overlap == pytest.approx(1e-7, rel=1e-6)
+        with pytest.raises(ConstraintError, match="overlap condition"):
+            lagrange_residual(bad)
 
     def test_optimum_beats_random_feasible_points(self):
         # the fitted multipliers at the optimum leave a residual smaller
@@ -205,6 +213,27 @@ class TestVerifyRootPair:
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.3])
     def test_half_error_rate_degenerate_pair(self, p):
         assert verify_root_pair(p, 0.5)
+
+    @pytest.mark.parametrize("shape, paired", [
+        ("at the roots", True),
+        ("off the roots", False),
+        ("two maxima", False),
+    ])
+    def test_stand_in_arcs(self, shape, paired, monkeypatch):
+        # arcs through (b, 1 - b): the analytic roots sum to 1, so a single
+        # maximum at b = plus sits on both roots; the two maxima are at
+        # b = 0.65 and 0.85
+        p, q = 0.05, 0.15
+        plus = info.beta_sq_optimal(p, q, "plus")
+        ba = np.linspace(0.5, 1.0, 501)
+        vals = {
+            "at the roots": -(ba - plus) ** 2,
+            "off the roots": -(ba - plus + 0.01) ** 2,
+            "two maxima": -((ba - 0.75) ** 2 - 0.01) ** 2,
+        }[shape]
+        monkeypatch.setattr(optimize, "phase_branch_scan",
+                            lambda p, q, cos_sign, samples: (ba, 1.0 - ba, vals))
+        assert verify_root_pair(p, q) is paired
 
 
 def _boundary_candidates_loop(t, axis_vals, lo, hi):
