@@ -280,9 +280,11 @@ def eve_distribution_closed_form(params):
 
     Entries 0-3 are the probabilities of probe outcomes |00>, |10>,
     |01>, |11> when Alice sent bit 0; entries 4-7 the same for bit 1.
-    Each quadruple sums to 1.
+    Each quadruple sums to 1.  The kept-signal weight is taken as
+    ``1 - d``, the weight the simulated isometry keeps with amplitude
+    ``sqrt(1 - d)``: the ``(p, q)`` form of `_weights` cancels as p -> 1.
     """
-    d, pref, (beta0, beta1), (gamma0, gamma1) = _weights(
+    d, _, (beta0, beta1), (gamma0, gamma1) = _weights(
         params.p,
         params.q,
         params.r_beta_a ** 2,
@@ -290,6 +292,7 @@ def eve_distribution_closed_form(params):
         params.r_gamma_a ** 2,
         params.r_gamma_c ** 2,
     )
+    pref = 1.0 - d
     half = params.p / 2.0
     m = np.array(
         [

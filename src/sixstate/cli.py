@@ -6,9 +6,10 @@ against the brute-force grid search, and ``verify`` prints the bundle of
 consistency checks of `sixstate.analysis.verify_checks` at one
 parameter point, one PASS/FAIL line per check.  `COMMANDS` declares each
 subcommand once: its help, its handler and its options.  A call builds
-only its own subcommand's options, because building all four would cost
-more than a ``verify`` does; help, usage and error output are the same
-as with every option built.
+only its own subcommand, because building all four would cost more than
+a ``verify`` does: the other three, which the call only lists, carry
+their name and help only, with no options, not even ``-h``.  Help,
+usage and error output are the same as with every subcommand built.
 
 Data goes to stdout or the ``--out`` file; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments or
@@ -144,11 +145,14 @@ COMMANDS = {
 
 
 def build_parser(command=None):
-    """The argument parser, with the options of `command`'s subcommand only.
+    """The argument parser, with `command`'s subcommand built in full.
 
     Every subcommand is registered with its help, so the top-level help,
-    usage and errors do not depend on `command`.  When `command` is None
-    or not a subcommand name, every subcommand gets its options.
+    usage and errors do not depend on `command`.  The others are only
+    listed, never parsed (`main` passes ``argv[0]``), so they carry their
+    name and help only: no options, not even ``-h``, and no handler.
+    When `command` is None or not a subcommand name, every subcommand is
+    built in full.
     """
     parser = argparse.ArgumentParser(
         prog="sixstate",
@@ -157,14 +161,16 @@ def build_parser(command=None):
             "with a noisy source: curves, thresholds, and cross-checks."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # prog given, so argparse does not build a help formatter to derive it
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     every = command not in COMMANDS
     for name, (help_, func, options) in COMMANDS.items():
-        c = sub.add_parser(name, help=help_)
-        if every or name == command:
+        built = every or name == command
+        c = sub.add_parser(name, help=help_, add_help=built)
+        if built:
             for flag, kwargs in options:
                 c.add_argument(flag, **kwargs)
-        c.set_defaults(func=func)
+            c.set_defaults(func=func)
     return parser
 
 

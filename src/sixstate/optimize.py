@@ -190,14 +190,17 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     Raises
     ------
     ConstraintError
-        If round 0 holds no feasible point.  The corner (0, 0) is
-        feasible unless the overlap target rounds above 1 + 1e-12,
-        which happens only near q = p/2 as p -> 1.
+        If round 0 holds no feasible point, an internal invariant
+        failure: the corner (0, 0) is feasible for every overlap target
+        up to 1 + 1e-12, and a target that rounds further above 1 (near
+        q = p/2 as p -> 1) is taken as 1.
     """
     p, q = check_domain(p, q)
     grid = check_count(grid, 51, _MAX_GRID, "grid")
     refine_iters = check_count(refine_iters, 0, _MAX_REFINE, "refine_iters")
     t = overlap_target(p, q)
+    if t > 1.0 + _FEAS_SLACK:
+        t = 1.0
 
     lo_a, hi_a = 0.0, 1.0
     lo_c, hi_c = 0.0, 1.0
@@ -219,8 +222,8 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
         fc = np.concatenate([np.broadcast_to(cv, lattice.shape)[lattice], cb[keep]])
 
         # Round 0 holds the corner (0, 0), where pb = 0 and pg = 1, so it
-        # is feasible whenever t <= 1 + 1e-12; only t rounding further
-        # above 1 (p -> 1, q = p/2) or a refined window can come up empty.
+        # is feasible for every t <= 1 + 1e-12; only a refined window can
+        # come up empty.
         if not fa.size:
             if best_j is None:
                 raise ConstraintError(

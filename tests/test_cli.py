@@ -147,6 +147,23 @@ class TestCrossing:
         assert "forced for the test" in capsys.readouterr().err
 
 
+def _count_validator_calls(monkeypatch, argv):
+    """The calls to each `protocol` validator during one successful `main(argv)`,
+    counted through every sixstate module binding of it."""
+    calls = {"check_domain": 0, "check_range": 0, "_float": 0}
+    for name in calls:
+        real = getattr(protocol, name)
+
+        def wrapper(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("sixstate") and vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, wrapper)
+    assert cli.main(argv) == 0
+    return calls
+
+
 class TestOptimize:
     def test_agreement_exit_zero(self, capsys):
         code = cli.main(
@@ -200,6 +217,14 @@ class TestOptimize:
         for tol, code in ((diff / 2, 4), (diff * 2, 0)):
             assert cli.main(["optimize", "--p", "0.05", "--q", "0.1", "--tol", repr(tol)]) == code
             assert ("mismatch" in capsys.readouterr().err) == (code == 4)
+
+    def test_validators_called_at_most(self, monkeypatch):
+        # each library call cmd_optimize makes validates the same (p, q)
+        # again; these ceilings are today's counts, which may only fall
+        calls = _count_validator_calls(monkeypatch, ["optimize", "--p", "0.05", "--q", "0.15"])
+        assert calls["check_domain"] <= 11
+        assert calls["check_range"] <= 17
+        assert calls["_float"] <= 38
 
     def test_invalid_point_exit_code(self, capsys):
         assert cli.main(["optimize", "--p", "0.05", "--q", "0.01"]) == 2
@@ -258,17 +283,7 @@ class TestVerify:
     def test_validators_called_few_times(self, monkeypatch):
         # (p, q) is validated first by optimal_parameters; the rest are the
         # checks of the public attack functions verify_checks builds on
-        calls = {"check_domain": 0, "check_range": 0, "_float": 0}
-        for name in calls:
-            real = getattr(protocol, name)
-
-            def wrapper(*args, name=name, real=real):
-                calls[name] += 1
-                return real(*args)
-            for module in list(sys.modules.values()):
-                if module.__name__.startswith("sixstate") and vars(module).get(name) is real:
-                    monkeypatch.setattr(module, name, wrapper)
-        assert cli.main(["verify", "--p", "0.05", "--q", "0.15"]) == 0
+        calls = _count_validator_calls(monkeypatch, ["verify", "--p", "0.05", "--q", "0.15"])
         assert calls["check_domain"] <= 6
         assert calls["check_range"] <= 7
         assert calls["_float"] <= 18
@@ -314,8 +329,9 @@ def test_cli_uses_no_private_name_of_another_module():
     assert used <= allowed
 
 
-# help, missing, unknown and repeated options, a second command name later
-# in argv, "--", an unknown command and the top-level help
+# help, missing, unknown, repeated, "=" and abbreviated options, an ambiguous
+# prefix, a second command name later in argv, "--", an unknown command and
+# the top-level help
 _PARSE_CASES = [
     [], ["-h"], ["--help"], ["-h", "verify"], ["--"], ["--", "verify"], ["bogus"], ["verif"],
     ["VERIFY"], ["--p", "0.1"], ["-x"],
@@ -329,6 +345,8 @@ _PARSE_CASES = [
     ["verify", "verify"], ["crossing", "crossing", "--steps", "1"],
     ["verify", "--", "--p", "0.1"], ["verify", "--p", "0.05", "--q", "0.15", "--"],
     ["curves", "--p", "0.05", "--steps", "3", "-h"], ["verify", "--p", "0.05", "--q", "0.01"],
+    ["verify", "--p=0.05", "--q=0.15"], ["crossing", "--p-mi", "0.1", "--p-ma", "0.2", "--steps", "2"],
+    ["crossing", "--p-m", "0.1"], ["optimize", "--help"],
 ]
 
 
@@ -354,20 +372,25 @@ def test_per_command_parser_matches_full_tree(columns, monkeypatch):
 
 
 def _subcommand_flags(parser):
+    """Each subcommand's option strings and its `func` default, or None."""
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {name: [flag for a in sub._actions for flag in a.option_strings]
+    return {name: ([flag for a in sub._actions for flag in a.option_strings],
+                   sub.get_default("func"))
             for name, sub in action.choices.items()}
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_build_parser_adds_only_the_named_options(command):
+    # the other subcommands are only listed, never parsed: name and help only
     full = _subcommand_flags(cli.build_parser())
     assert list(full) == ["curves", "crossing", "optimize", "verify"]
+    assert all(flags[:2] == ["-h", "--help"] and func is not None
+               for flags, func in full.values())
     for other in (None, "-h", "--", "bogus"):
         assert _subcommand_flags(cli.build_parser(other)) == full
     only = _subcommand_flags(cli.build_parser(command))
-    assert only == {name: flags if name == command else ["-h", "--help"]
-                    for name, flags in full.items()}
+    assert only == {name: entry if name == command else ([], None)
+                    for name, entry in full.items()}
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

@@ -4,13 +4,15 @@ Every check holds on the lattice ``p = linspace(0, 0.99, 10)`` and, for
 each p, ``q = linspace(p/2, 1/2, 10)``, both q endpoints included, and
 on seeded uniform random points of the domain; `analysis.verify_checks`
 passes all seven checks on a seeded lattice of 2,000 points that holds
-q = p/2 and q = 1/2 in every p row.  Noise raises the
-threshold over the whole crossing domain, and on every search bracket
-Bob's advantage over Eve falls strictly.  Every count is refused when
-it lies above its bound, before anything is allocated, and when it is
-NaN, infinite, beyond the float range or not a whole number; so is a
-noise weight beyond the float range.  Text, None, complex numbers and
-lists are refused as scalars, even where float() could parse them.
+q = p/2 and q = 1/2 in every p row.  As p -> 1, down to 1 - p = 1e-8,
+`verify_checks` and `grid_refine_maximize` return without raising.
+Noise raises the threshold over the whole crossing domain, and on every
+search bracket Bob's advantage over Eve falls strictly.  Every count is
+refused when it lies above its bound, before anything is allocated, and
+when it is NaN, infinite, beyond the float range or not a whole number;
+so is a noise weight beyond the float range.  Text, None, complex
+numbers and lists are refused as scalars, even where float() could parse
+them.
 """
 
 import math
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 from sixstate import analysis, attack, cli, info, optimize, protocol
-from sixstate.exceptions import ConstraintError, DomainError
+from sixstate.exceptions import DomainError
 
 
 _LATTICE_P = np.linspace(0.0, 0.99, 10).tolist()
@@ -63,7 +65,7 @@ def _verify_lattice(rows, per_row, seed):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_checks_whole_domain():
-    # The p -> 1 band stays with the two strict xfails below.
+    # The p -> 1 band, where checks may fail, is tested below.
     points = _verify_lattice(100, 20, seed=1818)
     assert len(points) == 2000
     for p, q in points:
@@ -73,20 +75,33 @@ def test_verify_checks_whole_domain():
         assert math.isfinite(advantage), (p, q)
 
 
-@pytest.mark.xfail(strict=True, raises=ConstraintError,
-                   reason="the (p, q) forms of _weights, overlap_target and _root "
-                          "cancel as p -> 1; the outcome quadruple sums to 1 + 5.6e-12")
 def test_verify_near_full_noise(capsys):
+    # the (p, q) form of the kept-signal weight cancels as p -> 1: taken
+    # from it, the outcome quadruple sums to 1 + 5.6e-12 here
     assert cli.main(["verify", "--p", "0.99999", "--q", "0.5"]) == 0
     assert "FAIL" not in capsys.readouterr().out
 
 
-@pytest.mark.xfail(strict=True, raises=ConstraintError,
-                   reason="overlap_target rounds to 1 + 5.6e-10 at q = p/2, so no "
-                          "point of the first lattice, not even (0, 0), is feasible")
 def test_optimize_near_full_noise(capsys):
+    # overlap_target rounds to 1 + 5.6e-10 at q = p/2; taken as it is, it
+    # leaves no round-0 point feasible, not even (0, 0)
     assert cli.main(["optimize", "--p", "0.9999999", "--q", "0.49999995"]) == 0
     assert "i_ae_grid" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_near_full_noise_band_does_not_raise():
+    # Bound: 1 - p down to 1e-8, four values per decade, at q = p/2, q = 1/2
+    # and one seeded q between.  Below 1e-8 lagrange_residual's 1e-8 overlap
+    # check still raises.  Checks may FAIL in this band; none may raise.
+    rng = np.random.default_rng(2121)
+    for gap in np.logspace(-2.0, -8.0, 25).tolist():
+        p = 1.0 - gap
+        for q in (p / 2.0, 0.5, float(rng.uniform(p / 2.0, 0.5))):
+            checks, advantage = analysis.verify_checks(p, q)
+            assert len(checks) == 7 and math.isfinite(advantage), (p, q)
+            result = optimize.grid_refine_maximize(p, q)
+            assert math.isfinite(result.best_value), (p, q)
 
 
 def test_noise_raises_the_threshold():
