@@ -5,11 +5,11 @@ two standard plots, ``optimize`` cross-checks the closed-form optimum
 against the brute-force grid search, and ``verify`` prints the bundle of
 consistency checks of `sixstate.analysis.verify_checks` at one
 parameter point, one PASS/FAIL line per check.  `COMMANDS` declares each
-subcommand once: its help, its handler and its options.  A call builds
-only its own subcommand, because building all four would cost more than
-a ``verify`` does: the other three, which the call only lists, carry
-their name and help only, with no options, not even ``-h``.  Help,
-usage and error output are the same as with every subcommand built.
+subcommand once: its help, its handler and its options.  A subcommand
+call is parsed by that subcommand's own parser, because building the
+parsers of all four would cost more than a ``verify`` does.  The full
+tree is built only for top-level help, usage and errors, so those read
+the same as they would from one parser holding every subcommand.
 
 Data goes to stdout or the ``--out`` file; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments or
@@ -144,16 +144,26 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The argument parser, with `command`'s subcommand built in full.
+def _add_command(parser, name):
+    """`parser` with `name`'s options and handler added."""
+    _, func, options = COMMANDS[name]
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=func)
+    return parser
 
-    Every subcommand is registered with its help, so the top-level help,
-    usage and errors do not depend on `command`.  The others are only
-    listed, never parsed (`main` passes ``argv[0]``), so they carry their
-    name and help only: no options, not even ``-h``, and no handler.
-    When `command` is None or not a subcommand name, every subcommand is
-    built in full.
+
+def build_parser(command=None):
+    """The parser for subcommand `command` alone, or else the full tree.
+
+    A subcommand's own parser is the one the full tree holds for it, with
+    the same prog, ``sixstate <command>``, so it prints the same help and
+    errors.  The full tree, built when `command` is None or not a
+    subcommand name, holds all four in full; `main` needs it only for
+    top-level help, usage and errors.
     """
+    if command in COMMANDS:
+        return _add_command(argparse.ArgumentParser(prog=f"sixstate {command}"), command)
     parser = argparse.ArgumentParser(
         prog="sixstate",
         description=(
@@ -163,21 +173,13 @@ def build_parser(command=None):
     )
     # prog given, so argparse does not build a help formatter to derive it
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    every = command not in COMMANDS
-    for name, (help_, func, options) in COMMANDS.items():
-        built = every or name == command
-        c = sub.add_parser(name, help=help_, add_help=built)
-        if built:
-            for flag, kwargs in options:
-                c.add_argument(flag, **kwargs)
-            c.set_defaults(func=func)
+    for name, (help_, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_), name)
     return parser
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+def _run(args):
+    """Run the parsed call's handler; its exit code, or 2 or 3 for its errors."""
     try:
         return args.func(args)
     except (NoCrossingError, AmbiguousCrossingError) as exc:
@@ -186,6 +188,22 @@ def main(argv=None):
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
+    parser = build_parser(command)
+    if command in COMMANDS:
+        # The full tree hands a subcommand everything after its name, so
+        # its own parser sees what it would see there.  Arguments it leaves
+        # over are the top level's error, which the full tree reports.
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:
+            args = build_parser().parse_args(argv)
+    else:
+        args = parser.parse_args(argv)
+    return _run(args)
 
 
 if __name__ == "__main__":

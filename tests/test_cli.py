@@ -330,8 +330,8 @@ def test_cli_uses_no_private_name_of_another_module():
 
 
 # help, missing, unknown, repeated, "=" and abbreviated options, an ambiguous
-# prefix, a second command name later in argv, "--", an unknown command and
-# the top-level help
+# prefix, a second command name later in argv, "--", an unknown command, the
+# top-level help, and arguments a subcommand leaves over
 _PARSE_CASES = [
     [], ["-h"], ["--help"], ["-h", "verify"], ["--"], ["--", "verify"], ["bogus"], ["verif"],
     ["VERIFY"], ["--p", "0.1"], ["-x"],
@@ -347,50 +347,99 @@ _PARSE_CASES = [
     ["curves", "--p", "0.05", "--steps", "3", "-h"], ["verify", "--p", "0.05", "--q", "0.01"],
     ["verify", "--p=0.05", "--q=0.15"], ["crossing", "--p-mi", "0.1", "--p-ma", "0.2", "--steps", "2"],
     ["crossing", "--p-m", "0.1"], ["optimize", "--help"],
+    ["verify", "--he"], ["verify", "--p", "0.05", "--q", "0.15", "--bogus", "1"],
+    ["curves", "--p", "0.05", "--steps", "2", "--", "x"],
+    ["optimize", "--p", "0.05", "--q", "0.1", "--grid", "51", "--refine", "1", "extra"],
 ]
 
 
-def _outcome(argv):
+def _outcome(run, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            code = run(argv)
         except SystemExit as exc:
             code = exc.code
     return out.getvalue(), err.getvalue(), code
 
 
+def _full_tree_main(argv):
+    """`main` as it would be with one parser holding every subcommand."""
+    return cli._run(cli.build_parser().parse_args(argv))
+
+
 @pytest.mark.parametrize("columns", ["80", "200"])
 def test_per_command_parser_matches_full_tree(columns, monkeypatch):
-    # main builds only argv[0]'s options; every byte it prints and its exit
-    # code must be those of the parser that holds every subcommand's options
+    # main parses a subcommand call with that subcommand's own parser; every
+    # byte it prints and its exit code must be those of the full tree
     monkeypatch.setenv("COLUMNS", columns)
-    per_command = [_outcome(argv) for argv in _PARSE_CASES]
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert per_command == [_outcome(argv) for argv in _PARSE_CASES]
+    assert ([_outcome(cli.main, argv) for argv in _PARSE_CASES]
+            == [_outcome(_full_tree_main, argv) for argv in _PARSE_CASES])
 
 
-def _subcommand_flags(parser):
-    """Each subcommand's option strings and its `func` default, or None."""
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {name: ([flag for a in sub._actions for flag in a.option_strings],
-                   sub.get_default("func"))
-            for name, sub in action.choices.items()}
+def _shape(parser):
+    """A parser's prog, option strings and `func` default."""
+    return (parser.prog, [flag for a in parser._actions for flag in a.option_strings],
+            parser.get_default("func"))
+
+
+def _declared_shape(name):
+    _, func, options = cli.COMMANDS[name]
+    return f"sixstate {name}", ["-h", "--help"] + [flag for flag, _ in options], func
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
-def test_build_parser_adds_only_the_named_options(command):
-    # the other subcommands are only listed, never parsed: name and help only
-    full = _subcommand_flags(cli.build_parser())
-    assert list(full) == ["curves", "crossing", "optimize", "verify"]
-    assert all(flags[:2] == ["-h", "--help"] and func is not None
-               for flags, func in full.values())
-    for other in (None, "-h", "--", "bogus"):
-        assert _subcommand_flags(cli.build_parser(other)) == full
-    only = _subcommand_flags(cli.build_parser(command))
-    assert only == {name: entry if name == command else ([], None)
-                    for name, entry in full.items()}
+def test_build_parser_builds_the_named_subcommand_alone(command):
+    parser = cli.build_parser(command)
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    assert _shape(parser) == _declared_shape(command)
+
+
+@pytest.mark.parametrize("other", [None, "-h", "--", "bogus"])
+def test_build_parser_builds_the_full_tree_otherwise(other):
+    parser = cli.build_parser(other)
+    assert parser.prog == "sixstate"
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(action.choices) == ["curves", "crossing", "optimize", "verify"]
+    for name, sub in action.choices.items():
+        assert _shape(sub) == _declared_shape(name)
+        assert sub.format_help() == cli.build_parser(name).format_help()
+
+
+def _parsers_constructed(monkeypatch, argv):
+    """The `argparse.ArgumentParser` instances one `main(argv)` constructs,
+    and its exit code."""
+    count = 0
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return count, code
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "0.05", "--q", "0.15"],
+    ["curves", "--p", "0.05", "--steps", "3"],
+    ["crossing", "--p-min", "0", "--p-max", "0", "--steps", "1"],
+    ["optimize", "--p", "0.05", "--q", "0.1", "--grid", "51", "--refine", "1"],
+], ids=lambda argv: argv[0])
+def test_subcommand_call_constructs_one_parser(argv, monkeypatch, capsys):
+    # the full tree would construct five: the top level and one per subcommand
+    assert _parsers_constructed(monkeypatch, argv) == (1, 0)
+
+
+def test_left_over_arguments_construct_the_full_tree(monkeypatch, capsys):
+    argv = ["verify", "--p", "0.05", "--q", "0.15", "--bogus", "1"]
+    assert _parsers_constructed(monkeypatch, argv) == (1 + 5, 2)
+    assert capsys.readouterr().err.startswith("usage: sixstate [-h] {curves,")
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
@@ -406,3 +455,10 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     assert cli.main() == 0
     assert capsys.readouterr().out.count("PASS") == 7
     assert built == ["verify"]
+    built.clear()
+    monkeypatch.setattr(sys, "argv", sys.argv + ["extra"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: extra" in capsys.readouterr().err
+    assert built == ["verify", None]
