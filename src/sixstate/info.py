@@ -4,26 +4,29 @@ All logarithms are base 2 and ``0 log 0`` is taken to be 0.  Throughout,
 p is the white-noise weight of the source and q is Bob's observed error
 rate; the physical domain is ``0 <= p < 1`` and ``p/2 <= q <= 1/2``.
 
-Eve's outcome weights are written once, in `_weights`.  Her information
-has two kernels, written apart: `_i_ae` for any four squared probe
-weights, which the grid search of `sixstate.optimize` maximizes, and
-`_i_ae_aligned`, the paper's closed form on the aligned-phase branch,
-behind `i_ae_optimal`, the sweeps of `sixstate.analysis` and its
-"branch symmetry" check.  At aligned weights the two agree to round-off
-(within 2e-15 on a 96 by 2,001 domain lattice in tests/test_info.py), so
-the grid search's agreement with the closed form tests the paper's
-formula, not one kernel against itself.  The kernels broadcast over
-numpy arrays and check nothing; each public function validates its
-scalar arguments and then calls them, and `sixstate.analysis` calls them
-on whole grids.
+Eve's outcome weights are written once, in `_scales` and `_mix`, which
+`_weights` combines.  Her information has two kernels, written apart:
+`_i_ae` for any four squared probe weights, which the grid search of
+`sixstate.optimize` maximizes, and `_i_ae_aligned`, the paper's closed
+form on the aligned-phase branch, behind `i_ae_optimal`, the sweeps of
+`sixstate.analysis` and its "branch symmetry" check.  At aligned
+weights the two agree to round-off (within 2e-15 on a 96 by 2,001
+domain lattice in tests/test_info.py), so the grid search's agreement
+with the closed form tests the paper's formula, not one kernel against
+itself.  The kernels broadcast over numpy arrays and check nothing;
+each public function validates its scalar arguments and then calls
+them, and `sixstate.analysis` calls them on whole grids.
 
 On arrays these kernels and `_xlog2`/`_tau` are computed in place: each
 creates one fresh result and applies the remaining steps to it, every
 step the same operation on the same operands as the plain expression,
 so the bits are the same.  Scalars (Python or numpy floats, and what
 0-d arrays turn into) take the plain expressions, since an ``out=``
-call on a scalar costs several times the arithmetic.  No kernel writes
-into its arguments.
+call on a scalar costs several times the arithmetic.  The grid search
+passes `_i_ae` a scratch block, one per search, that every round
+reuses: then each intermediate, down to the `_xlog2` terms, is built
+in that block's rows instead of fresh arrays.  No kernel writes into its
+arguments, only into the rows it is handed as ``out`` or ``scratch``.
 
 The closed forms in this module have two independent cross-checks
 elsewhere in the package: `mutual_information` applied to the joint
@@ -48,21 +51,61 @@ __all__ = [
 _NEG_TOL = 1e-12
 
 
-def _xlog2(x):
-    """x log2 x with the 0 log 0 = 0 convention, over arrays or scalars."""
-    z = x + (x == 0.0)
-    if not isinstance(z, np.ndarray):
-        return x * np.log2(z)
+def _xlog2(x, out=None):
+    """x log2 x with the 0 log 0 = 0 convention, over arrays or scalars.
+
+    Given out, an array of x's shape, the result is built there.
+    """
+    if out is None:
+        z = x + (x == 0.0)
+        if not isinstance(z, np.ndarray):
+            return x * np.log2(z)
+    else:
+        z = np.add(x, np.equal(x, 0.0, out=out), out=out)
     np.log2(z, out=z)
     z *= x
     return z
 
 
-def _tau(x, y):
-    """x log2 x + y log2 y - (x + y) log2 (x + y); broadcasts, checks nothing."""
-    s = _xlog2(x) + _xlog2(y)
-    s -= _xlog2(x + y)
+def _tau(x, y, out=(None, None, None)):
+    """x log2 x + y log2 y - (x + y) log2 (x + y); broadcasts, checks nothing.
+
+    Given out, three arrays of x's shape, the result is built in the
+    first, the second is work space and x + y is formed in the third,
+    which may be x itself.
+    """
+    r, t, u = out
+    s = np.add(_xlog2(x, r), _xlog2(y, t), out=r)
+    s -= _xlog2(x + y if u is None else np.add(x, y, out=u), t)
     return s
+
+
+def _scales(p, q):
+    """Half the noise weight, the flip probability and the kept-signal weight.
+
+    Returns ``(p/2, d, pref)`` with ``d = (q - p/2) / (1 - p)`` and
+    ``pref = (1 - p/2 - q) / (1 - p)``; broadcasts, checks nothing.
+    """
+    half = p / 2.0
+    return half, _disturbance(q, p), (1.0 - half - q) / (1.0 - p)
+
+
+def _mix(half, a, c, out=(None, None, None)):
+    """The weight pair ``((1 - half) a + half c, half a + (1 - half) c)``; broadcasts.
+
+    Given out, three arrays of a's shape, the pair is built in the first
+    two and the third is work space.
+    """
+    w0, w1, t = out
+
+    def mul(x, y, into):
+        return x * y if into is None else np.multiply(x, y, out=into)
+
+    w0 = mul(1.0 - half, a, w0)
+    w0 += mul(half, c, t)
+    w1 = mul(half, a, w1)
+    w1 += mul(1.0 - half, c, t)
+    return w0, w1
 
 
 def _weights(p, q, ba, bc, ga, gc):
@@ -73,31 +116,24 @@ def _weights(p, q, ba, bc, ga, gc):
     gamma pairs the two weights ``((1 - p/2) a + (p/2) c,
     (p/2) a + (1 - p/2) c)`` given Alice's bit 0 and bit 1.
     """
-    half = p / 2.0
-    d = _disturbance(q, p)
-    pref = (1.0 - half - q) / (1.0 - p)
-
-    def mix(a, c):
-        w0 = (1.0 - half) * a
-        w0 += half * c
-        w1 = half * a
-        w1 += (1.0 - half) * c
-        return w0, w1
-
-    return d, pref, mix(ba, bc), mix(ga, gc)
+    half, d, pref = _scales(p, q)
+    return d, pref, _mix(half, ba, bc), _mix(half, ga, gc)
 
 
-def _i_ae(p, q, ba, bc, ga, gc):
+def _i_ae(p, q, ba, bc, ga, gc, scratch=None):
     """Eve's information for squared probe weights; broadcasts, checks nothing.
 
     ``1 + (pref / 2) (_tau(*beta) + _tau(*gamma)) + d _tau(1 - p/2, p/2)`` over
     the weights of `_weights`.  The four weights share one shape, into
     which p and q broadcast; on arrays the result is built in that shape.
+    Given scratch, five arrays of that shape (a ``(5, ...)`` block), every
+    intermediate and the result are built in them; the beta pair is
+    folded in before the gamma pair is formed, so five suffice.
     """
-    d, pref, beta, gamma = _weights(p, q, ba, bc, ga, gc)
-    half = p / 2.0
-    s = _tau(*beta)
-    s += _tau(*gamma)
+    half, d, pref = _scales(p, q)
+    w0, w1, t, s, u = (None,) * 5 if scratch is None else scratch
+    s = _tau(*_mix(half, ba, bc, (w0, w1, t)), (s, t, w0))
+    s += _tau(*_mix(half, ga, gc, (w0, w1, t)), (u, t, w0))
     s *= 0.5 * pref
     s += 1.0
     s += d * _tau(1.0 - half, half)

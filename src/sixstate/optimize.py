@@ -39,10 +39,13 @@ _FEAS_SLACK = 1e-12
 # Residual cut separating true overlap-boundary roots from the spurious
 # roots introduced by squaring the boundary equation.
 _BOUNDARY_CUT = 1e-9
-# Largest lattice size per axis; grid_refine_maximize holds grid x grid
-# products and candidates per round, ~335 MB at the peak of a round at
-# 2001 (tracemalloc, at p = 0.2, q = 0.3).
+# Largest lattice size per axis; grid_refine_maximize holds a workspace of
+# 7 (grid^2 + 4 grid) floats and the gathered candidates, ~318 MB at the
+# peak of a round at 2001 (tracemalloc, at p = 0.2, q = 0.3).
 _MAX_GRID = 2001
+# Candidate-length rows of the objective's scratch: 1 - ba, 1 - bc and
+# the five of info._i_ae.
+_SCRATCH_ROWS = 7
 # Most refinement rounds.  Each costs one lattice sweep; on 20 random (p, q)
 # at grid 201, no result changed after round 14.
 _MAX_REFINE = 30
@@ -81,17 +84,33 @@ class LagrangeResidual:
     degenerate: bool = False
 
 
-def _products(ba, bc):
-    """Products ``(pb, pg)`` of the beta and of the gamma radii; broadcasts."""
-    return np.sqrt(ba * bc), np.sqrt((1.0 - ba) * (1.0 - bc))
+def _products(ba, bc, out=(None, None)):
+    """Products ``(pb, pg)`` of the beta and of the gamma radii; broadcasts.
+
+    Given out, two arrays of the broadcast shape, they are built there.
+    """
+    pb, pg = out
+    pb = np.sqrt(np.multiply(ba, bc, out=pb), out=pb)
+    pg = np.sqrt(np.multiply(1.0 - ba, 1.0 - bc, out=pg), out=pg)
+    return pb, pg
 
 
-def _feasible(t, pb, pg):
+def _feasible(t, pb, pg, out=(None, None, None)):
     """Whether some phase meets overlap target t; broadcasts.
 
     Tests ``pb - pg <= t <= pb + pg`` with an absolute slack of 1e-12.
+    Given out, a float and two boolean arrays of the broadcast shape, the
+    slack sums are built in the first, the mask in the second, and the
+    third is work space.
     """
-    return (t <= pb + pg + _FEAS_SLACK) & (t >= pb - pg - _FEAS_SLACK)
+    bound, mask, below = out
+    s = np.add(pb, pg, out=bound)
+    s += _FEAS_SLACK
+    mask = np.less_equal(t, s, out=mask)
+    s = np.subtract(pb, pg, out=bound)
+    s -= _FEAS_SLACK
+    mask &= np.greater_equal(t, s, out=below)
+    return mask
 
 
 def _phase_cos(t, pb, pg):
@@ -124,13 +143,19 @@ def feasible_phase(r_beta_a_sq, r_beta_c_sq, p, q):
     return _phase_cos(t, pb, pg)
 
 
-def _objective(p, q, ba, bc):
+def _objective(p, q, ba, bc, scratch=None):
     """Eve's information over arrays of squared weights.
 
     The gamma weights follow from the unit norms; the objective never
-    depends on the phases.
+    depends on the phases.  Given scratch, a ``(_SCRATCH_ROWS, n)`` block
+    for n candidates, the gamma weights, every intermediate and the
+    result are built in it.
     """
-    return _i_ae(p, q, ba, bc, 1.0 - ba, 1.0 - bc)
+    if scratch is None:
+        return _i_ae(p, q, ba, bc, 1.0 - ba, 1.0 - bc)
+    ga = np.subtract(1.0, ba, out=scratch[0])
+    gc = np.subtract(1.0, bc, out=scratch[1])
+    return _i_ae(p, q, ba, bc, ga, gc, scratch[2:])
 
 
 def _boundary_candidates(t, axis_vals, lo, hi):
@@ -174,6 +199,13 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     points above each beta_a_sq value, then those beside each
     beta_c_sq value, each set in axis order.
 
+    Each call allocates one float workspace, plus one boolean block for
+    the feasibility mask, and every round reuses them: first for the
+    lattice products and their slack sums, then, once the candidates
+    are gathered, for every intermediate of the objective.  Freeing
+    megabytes of per-round temporaries made the allocator hand the heap
+    back to the OS each round and fault it in again on the next one.
+
     Parameters
     ----------
     p, q : float
@@ -206,13 +238,18 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     lo_c, hi_c = 0.0, 1.0
     best_a = best_c = best_j = None
     evaluations = 0
+    # A round holds at most grid^2 lattice and 4 grid boundary candidates.
+    cells = grid * grid
+    block = np.empty(max(3 * cells, _SCRATCH_ROWS * (cells + 4 * grid)))
+    flags = np.empty((2, grid, grid), dtype=bool)
+    pb, pg, bound = block[: 3 * cells].reshape(3, grid, grid)
 
     for _ in range(refine_iters + 1):
         av = np.linspace(lo_a, hi_a, grid)
         cv = np.linspace(lo_c, hi_c, grid)
         # Row i of the lattice mask is a = av[i]; masking it row-major
         # keeps the scan order of the flattened (a, c) lattice.
-        lattice = _feasible(t, *_products(av[:, None], cv))
+        lattice = _feasible(t, *_products(av[:, None], cv, (pb, pg)), (bound, *flags))
         ba_bound, bc_bound = _boundary_candidates(t, av, lo_c, hi_c)
         bc_bound2, ba_bound2 = _boundary_candidates(t, cv, lo_a, hi_a)
         ab = np.concatenate([ba_bound, ba_bound2])
@@ -230,7 +267,10 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
                     f"no feasible lattice point in round 0 (overlap target t = {t!r})"
                 )
             break
-        vals = _objective(p, q, fa, fc)
+        # The lattice products and mask are dead once fa and fc are
+        # gathered, so the objective's scratch reuses their block.
+        scratch = block[: _SCRATCH_ROWS * fa.size].reshape(_SCRATCH_ROWS, fa.size)
+        vals = _objective(p, q, fa, fc, scratch)
         evaluations += vals.size
         k = int(np.argmax(vals))
         cand = (float(fa[k]), float(fc[k]), float(vals[k]))

@@ -120,12 +120,21 @@ _I_AE_ALIGNEDS = {
     "curve_shape": (0.3, np.linspace(0.15, 0.5, 9), np.linspace(0.5, 1.0, 9)),
     "crossing_shape": _crossing_shape()[:3],
 }
+
+
+def _i_ae_in_scratch(p, q, ba, bc, ga, gc):
+    """`_i_ae` built in a caller-given scratch, filled with NaN beforehand."""
+    return _i_ae(p, q, ba, bc, ga, gc, np.full((5, *np.shape(ba)), np.nan))
+
+
 _KERNELS = [
     pytest.param(kernel, reference, args, id=f"{name}-{case}")
     for name, kernel, reference, cases in [
         ("xlog2", _xlog2, _xlog2_reference, _XS),
         ("tau", _tau, _tau_reference, _TAUS),
         ("i_ae", _i_ae, _i_ae_reference, _I_AES),
+        ("i_ae_scratch", _i_ae_in_scratch, _i_ae_reference,
+         {case: _I_AES[case] for case in ("lattice", "crossing_shape")}),
         ("i_ae_aligned", info._i_ae_aligned, _i_ae_aligned_reference, _I_AE_ALIGNEDS),
     ]
     for case, args in cases.items()

@@ -94,8 +94,19 @@ class TestGridRefineMaximize:
     )
     def test_identical_through_reference_kernel(self, monkeypatch, p, q):
         result = repr(grid_refine_maximize(p, q))
-        monkeypatch.setattr(optimize, "_i_ae", _i_ae_reference)
+        scratches = []
+
+        def reference(p, q, ba, bc, ga, gc, scratch=None):
+            if isinstance(ba, np.ndarray):
+                scratches.append(scratch)
+            return _i_ae_reference(p, q, ba, bc, ga, gc)
+
+        monkeypatch.setattr(optimize, "_i_ae", reference)
         assert repr(grid_refine_maximize(p, q)) == result
+        # Every round's candidates reach the kernel through this binding,
+        # with the search's scratch; the mirror check passes scalars.
+        assert len(scratches) == 7
+        assert all(isinstance(s, np.ndarray) for s in scratches)
 
 
 class TestLagrangeResidual:
