@@ -18,15 +18,19 @@ each public function validates its scalar arguments and then calls
 them, and `sixstate.analysis` calls them on whole grids.
 
 On arrays these kernels and `_xlog2`/`_tau` are computed in place: each
-creates one fresh result and applies the remaining steps to it, every
-step the same operation on the same operands as the plain expression,
-so the bits are the same.  Scalars (Python or numpy floats, and what
-0-d arrays turn into) take the plain expressions, since an ``out=``
-call on a scalar costs several times the arithmetic.  The grid search
-passes `_i_ae` a scratch block, one per search, that every round
-reuses: then each intermediate, down to the `_xlog2` terms, is built
-in that block's rows instead of fresh arrays.  No kernel writes into its
-arguments, only into the rows it is handed as ``out`` or ``scratch``.
+creates one fresh result and applies the remaining steps to it.
+Scalars (Python or numpy floats, and what 0-d arrays turn into) take
+the plain expressions, since an ``out=`` call on a scalar costs several
+times the arithmetic.  The grid search passes `_i_ae` a scratch block,
+one per search, that every round reuses: then each intermediate, down
+to the `_xlog2` terms, is built in that block's rows instead of fresh
+arrays.  Every step is the same operation on the same operands as the
+plain expression but one: on the scratch path the zero guard is
+``max(x, 5e-324)``, not ``x + (x == 0)``, so a zero weight's term is
+``-0.0``, not ``0.0``.  The sums in `_tau` and `_i_ae` absorb it, so
+their results are bit-identical to the plain expressions'.  No kernel
+writes into its arguments, only into the rows it is handed as ``out``
+or ``scratch``.
 
 The closed forms in this module have two independent cross-checks
 elsewhere in the package: `mutual_information` applied to the joint
@@ -54,14 +58,17 @@ _NEG_TOL = 1e-12
 def _xlog2(x, out=None):
     """x log2 x with the 0 log 0 = 0 convention, over arrays or scalars.
 
-    Given out, an array of x's shape, the result is built there.
+    Given out, an array of x's shape, the result is built there; zero
+    is then guarded in one pass as ``max(x, 5e-324)``, the smallest
+    positive double, which leaves every positive x as it is and makes a
+    zero term ``-0.0``.
     """
     if out is None:
         z = x + (x == 0.0)
         if not isinstance(z, np.ndarray):
             return x * np.log2(z)
     else:
-        z = np.add(x, np.equal(x, 0.0, out=out), out=out)
+        z = np.maximum(x, 5e-324, out=out)
     np.log2(z, out=z)
     z *= x
     return z

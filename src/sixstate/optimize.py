@@ -40,7 +40,7 @@ _FEAS_SLACK = 1e-12
 # roots introduced by squaring the boundary equation.
 _BOUNDARY_CUT = 1e-9
 # Largest lattice size per axis; grid_refine_maximize holds a workspace of
-# 7 (grid^2 + 4 grid) floats and the gathered candidates, ~318 MB at the
+# 7 (grid^2 + 4 grid) floats and the gathered candidates, ~297 MB at the
 # peak of a round at 2001 (tracemalloc, at p = 0.2, q = 0.3).
 _MAX_GRID = 2001
 # Candidate-length rows of the objective's scratch: 1 - ba, 1 - bc and
@@ -62,7 +62,9 @@ class OptimizationResult:
 
     branch is "phase0" when the best point sits on the aligned-phase
     side (cosine of the phase difference >= 0) and "phasepi" otherwise.
-    evaluations counts objective evaluations across all rounds.
+    evaluations counts the feasible candidates of all rounds, round 0's
+    mirror copies included, plus the scalar mirror checks; it is not the
+    number of points the objective was evaluated at.
     """
 
     best_params: AttackParameters
@@ -174,13 +176,16 @@ def _boundary_candidates(t, axis_vals, lo, hi):
     disc = (1.0 - t * t) * (1.0 - a)
     real = disc >= 0.0
     root = np.sqrt(np.where(real, disc, 0.0))
-    u = t * np.sqrt(a) + np.hstack([root, -root])
+    base = t * np.sqrt(a)
+    u = np.empty((a.size, 2))
+    np.add(base, root, out=u[:, :1])
+    np.subtract(base, root, out=u[:, 1:])
     keep = real & (u >= -1e-9) & (u <= 1.0 + 1e-9)
-    c = np.clip(u, 0.0, 1.0) ** 2
+    c = np.square(np.minimum(np.maximum(u, 0.0), 1.0))
     keep &= (lo - 1e-15 <= c) & (c <= hi + 1e-15)
     pb, pg = _products(a, c)
     keep &= np.minimum(np.abs(pb + pg - t), np.abs(pb - pg - t)) <= _BOUNDARY_CUT
-    return np.broadcast_to(a, c.shape)[keep], np.clip(c, lo, hi)[keep]
+    return np.repeat(axis_vals, 2)[keep.ravel()], np.minimum(np.maximum(c, lo), hi)[keep]
 
 
 def grid_refine_maximize(p, q, grid=201, refine_iters=6):
@@ -198,6 +203,17 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     row by row (beta_a_sq outer, beta_c_sq inner), then the boundary
     points above each beta_a_sq value, then those beside each
     beta_c_sq value, each set in axis order.
+
+    Round 0 evaluates one point of each mirror pair.  Its two axes are
+    equal, and the feasibility test and the objective are symmetric
+    under ``beta_a_sq <-> beta_c_sq`` bit for bit, since every product
+    and sum in them commutes; the beta_c_sq-side boundary set is the
+    beta_a_sq-side one with the coordinates swapped.  Of two tied twins
+    the scan meets the one with beta_c_sq >= beta_a_sq first, or the one
+    in the first boundary set, so round 0 keeps only the lattice points
+    with beta_c_sq >= beta_a_sq and the first boundary set: the earliest
+    maximizer, and so the result, is unchanged.  Each off-diagonal point
+    still counts twice in ``evaluations``.
 
     Each call allocates one float workspace, plus one boolean block for
     the feasibility mask, and every round reuses them: first for the
@@ -244,16 +260,22 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     flags = np.empty((2, grid, grid), dtype=bool)
     pb, pg, bound = block[: 3 * cells].reshape(3, grid, grid)
 
-    for _ in range(refine_iters + 1):
+    for round_ in range(refine_iters + 1):
         av = np.linspace(lo_a, hi_a, grid)
         cv = np.linspace(lo_c, hi_c, grid)
         # Row i of the lattice mask is a = av[i]; masking it row-major
         # keeps the scan order of the flattened (a, c) lattice.
         lattice = _feasible(t, *_products(av[:, None], cv, (pb, pg)), (bound, *flags))
-        ba_bound, bc_bound = _boundary_candidates(t, av, lo_c, hi_c)
-        bc_bound2, ba_bound2 = _boundary_candidates(t, cv, lo_a, hi_a)
-        ab = np.concatenate([ba_bound, ba_bound2])
-        cb = np.concatenate([bc_bound, bc_bound2])
+        ab, cb = _boundary_candidates(t, av, lo_c, hi_c)
+        if round_:
+            bc_bound2, ba_bound2 = _boundary_candidates(t, cv, lo_a, hi_a)
+            ab = np.concatenate([ab, ba_bound2])
+            cb = np.concatenate([cb, bc_bound2])
+        else:
+            # av == cv, both increasing, so this keeps column j >= row i:
+            # the earlier twin of each mirror pair (see the docstring).
+            n_diag = int(np.count_nonzero(lattice.diagonal()))
+            lattice &= np.less_equal(av[:, None], cv, out=flags[1])
         keep = _feasible(t, *_products(ab, cb))
         fa = np.concatenate([np.repeat(av, lattice.sum(axis=1)), ab[keep]])
         fc = np.concatenate([np.broadcast_to(cv, lattice.shape)[lattice], cb[keep]])
@@ -271,7 +293,8 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
         # gathered, so the objective's scratch reuses their block.
         scratch = block[: _SCRATCH_ROWS * fa.size].reshape(_SCRATCH_ROWS, fa.size)
         vals = _objective(p, q, fa, fc, scratch)
-        evaluations += vals.size
+        # In round 0 each off-diagonal candidate stands for its mirror too.
+        evaluations += vals.size if round_ else 2 * vals.size - n_diag
         k = int(np.argmax(vals))
         cand = (float(fa[k]), float(fc[k]), float(vals[k]))
         if best_j is None or cand[2] > best_j:

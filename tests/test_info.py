@@ -85,6 +85,12 @@ def _lattice():
     return 0.05, 0.15, ba, bc, 1.0 - ba, 1.0 - bc
 
 
+def _zero_noise_edges():
+    """p = 0 against four weights that are each exactly 0 or 1, in every combination."""
+    ba, bc, ga, gc = np.indices((2, 2, 2, 2), dtype=float).reshape(4, -1)
+    return 0.0, 0.3, ba, bc, ga, gc
+
+
 _XS = {
     "zeros_and_ones": (np.array([0.0, 1.0, 0.0, 0.5, 1e-300, 1.0 - 1e-16]),),
     "python_float": (0.3,),
@@ -106,6 +112,7 @@ _TAUS = {
 }
 _I_AES = {
     "lattice": _lattice(),
+    "zero_noise_edges": _zero_noise_edges(),
     "python_floats": (0.05, 0.12, 0.8, 0.35, 0.2, 0.65),
     "python_edges": (0.0, 0.5, 1.0, 0.0, 0.0, 1.0),
     "float64": tuple(np.float64(v) for v in (0.1, 0.3, 0.6, 0.2, 0.4, 0.8)),
@@ -134,7 +141,7 @@ _KERNELS = [
         ("tau", _tau, _tau_reference, _TAUS),
         ("i_ae", _i_ae, _i_ae_reference, _I_AES),
         ("i_ae_scratch", _i_ae_in_scratch, _i_ae_reference,
-         {case: _I_AES[case] for case in ("lattice", "crossing_shape")}),
+         {case: _I_AES[case] for case in ("lattice", "zero_noise_edges", "crossing_shape")}),
         ("i_ae_aligned", info._i_ae_aligned, _i_ae_aligned_reference, _I_AE_ALIGNEDS),
     ]
     for case, args in cases.items()
@@ -156,6 +163,13 @@ def test_kernel_bit_identical_to_reference(kernel, reference, args):
     # The in-place steps write only into the kernel's own fresh results.
     for a, b in zip(args, before):
         assert np.array(a).tobytes() == b.tobytes()
+
+
+def test_xlog2_out_guards_zero_with_the_same_values():
+    x = np.array([0.0, 1.0, 0.5, 5e-324, 1e-310, 1e-300, 1.0 - 1e-16, 0.0, 3.0])
+    got, want = _xlog2(x, np.full_like(x, np.nan)), _xlog2(x)
+    # a zero term may be -0.0 on the out path; every other term keeps its bits
+    assert (got == want).all() and got[x != 0.0].tobytes() == want[x != 0.0].tobytes()
 
 
 class TestTau:

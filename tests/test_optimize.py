@@ -362,6 +362,30 @@ class TestArrayGeometry:
             assert repr(got) == repr(want), (p, q)
             assert got.evaluations == want.evaluations, (p, q)
 
+    @pytest.mark.parametrize("grid", [51, 77])
+    def test_round_zero_evaluates_one_of_each_mirror_pair(self, monkeypatch, grid):
+        sizes = []
+
+        def counting(p, q, ba, bc, ga, gc, scratch=None):
+            if isinstance(ba, np.ndarray):
+                sizes.append(ba.size)
+            return info._i_ae(p, q, ba, bc, ga, gc, scratch)
+
+        monkeypatch.setattr(optimize, "_i_ae", counting)
+        axis = np.linspace(0.0, 1.0, grid)
+        for p, q in _mesh_points():
+            t = attack.overlap_target(p, q)
+            n_diag = np.count_nonzero(optimize._feasible(t, *optimize._products(axis, axis)))
+            sizes.clear()
+            want = _grid_refine_mesh(p, q, grid, 0)
+            (n,) = sizes
+            sizes.clear()
+            got = grid_refine_maximize(p, q, grid, 0)
+            # the diagonal once, and one twin of every other pair
+            assert sizes == [(n + n_diag) / 2], (p, q)
+            assert got.evaluations == want.evaluations, (p, q)
+            assert repr(got) == repr(want), (p, q)
+
     @pytest.mark.parametrize("p,q", [(0.2, 0.3), (0.05, 0.15), (0.9, 0.49999)])
     def test_round_peak_below_raveled_mesh(self, p, q):
         # Built from its two axes, a round holds no raveled lattice copies.
