@@ -18,7 +18,7 @@ import numpy as np
 from .attack import (build_ancillas, build_isometry, eve_distribution_closed_form,
                      optimal_parameters, overlap_target, simulate)
 from .exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
-from .info import _beta_sq, _i_ab, _i_ae_aligned, _i_ae_antiphase, _i_ae_optimal
+from .info import _beta_sq, _i_ab, _i_ae_aligned, _i_ae_antiphase, _i_ae_optimal, _noise
 from .optimize import lagrange_residual
 from .protocol import _disturbance, _float, check_count, check_domain, check_range
 
@@ -43,10 +43,11 @@ _EDGE = 1e-9
 # CSV line per curve step) and run time (one bisection per crossing step).
 _MAX_CURVE_STEPS = 100_000
 _MAX_CROSSING_STEPS = 10_000
-# Bisection levels per kernel call, and rows per kernel call.  Six levels
-# (63 midpoints a row) timed fastest of 4-10; 64 rows keep the kernel's
-# temporaries near 1 MB however long the sweep.
-_LEVELS = 6
+# Bisection levels per kernel call, and rows per kernel call.  Five levels
+# (31 midpoints a row) timed fastest of 4-10 on the benchmark's threshold
+# schedule; 64 rows keep the kernel's temporaries near 1 MB however long
+# the sweep.
+_LEVELS = 5
 _ROWS = 64
 # The crossing search takes a rise of the advantage back above zero as a
 # second sign change only past this bound, 64 ulps of 1.  Where the
@@ -118,20 +119,23 @@ def _curve_rows(p, steps):
     steps = check_count(steps, 2, _MAX_CURVE_STEPS, "steps")
     qs = np.linspace(p / 2.0, 0.5, steps)
     i_ab = _i_ab(qs).tolist()
+    noise = _noise(p)
     return zip(
         qs.tolist(),
         i_ab,
-        _i_ae_optimal(p, qs).tolist(),
-        _i_ae_antiphase(p, qs).tolist(),
+        _i_ae_optimal(noise, qs).tolist(),
+        _i_ae_antiphase(noise, qs).tolist(),
         i_ab,
-        _i_ae_optimal(0.0, qs).tolist(),
-        _beta_sq(p, qs, 1.0).tolist(),
+        _i_ae_optimal(_noise(0.0), qs).tolist(),
+        _beta_sq(noise, qs, 1.0).tolist(),
     )
 
 
-def _advantage(p, q):
-    """Bob's minus Eve's information; broadcasts over q, checks nothing."""
-    return _i_ab(q) - _i_ae_optimal(p, q)
+def _advantage(noise, q):
+    """Bob's minus Eve's information at the terms of `_noise`; broadcasts, checks nothing."""
+    value = _i_ab(q)
+    value -= _i_ae_optimal(noise, q)
+    return value
 
 
 def crossing_point(p, tol=1e-9):
@@ -139,7 +143,7 @@ def crossing_point(p, tol=1e-9):
 
     Locates the root of ``i_ab(q) - i_ae_optimal(p, q)`` by bisection
     on [p/2 + 1e-9, 1/2 - 1e-9].  The first bisection round certifies
-    that the difference changes sign exactly once on 65 evenly spaced
+    that the difference changes sign exactly once on 33 evenly spaced
     points, both ends included; each later round checks its own points
     again.  This is the one-row case of the lock-step search
     `crossing_sweep` runs, so both give the same result at the same p.
@@ -230,6 +234,13 @@ def _certify(ps, live, edges, values, first):
     )
 
 
+def _live_noise(ps, live):
+    """The `_noise` terms of the live rows: of a Python float p for one, else of a column."""
+    if len(live) == 1:
+        return _noise(ps[live[0]])
+    return _noise(np.array([ps[i] for i in live])[:, None])
+
+
 def _crossings(ps, tol):
     """Bisect the crossing at every noise weight in ps, in lock step.
 
@@ -239,19 +250,21 @@ def _crossings(ps, tol):
     built from adjacent bracket ends by that same expression; each row
     then walks its own path through them.  So every bracket, count and
     result equals one-at-a-time bisection bit for bit, and a row whose
-    next step would stop costs no call after round one.  A call with one
+    next step would stop costs no call after round one.  The kernel takes
+    the live rows' noise terms (`sixstate.info._noise`), formed once per
+    chunk and again only when rows retire, for the rows still live; so
+    each round runs only the passes that depend on q.  The terms of one
     live row (a one-point sweep, `crossing_point`, or the one row of a
-    chunk still bisecting) passes its p as a Python float, so the kernel's
-    p-only terms stay scalars; more rows pass a column of p.
+    chunk still bisecting) are Python floats; more rows take a column.
 
     Round one takes every row, and its call also evaluates both bracket
-    ends: the 65 signs certify one crossing, and each later round checks
-    that its 63 midpoints still see only one (`_certify`).  That a 1/64
+    ends: the 33 signs certify one crossing, and each later round checks
+    that its 31 midpoints still see only one (`_certify`).  That a 1/32
     grid suffices is physics: on (0, 1/2) Bob's information falls,
     ``I_AB'(q) = log2(q / (1-q)) < 0``, and Eve's optimum does not
     decrease in q, so the advantage falls strictly and crosses zero once
     (tests/test_domain.py checks this on 501 p by 20,001 q).  A row thus
-    costs 65 + 63 (rounds - 1) kernel points.
+    costs 33 + 31 (rounds - 1) kernel points.
     """
     tol = _float(tol, "tol")
     if not tol > 0.0:
@@ -263,6 +276,7 @@ def _crossings(ps, tol):
     for start in range(0, len(ps), _ROWS):
         chunk = range(start, min(start + _ROWS, len(ps)))
         live, first = list(chunk), True
+        noise = _live_noise(ps, live)
         while live:
             # Each row's bracket ends and midpoints in order; level k fills
             # the columns halfway between those filled before it.
@@ -272,22 +286,23 @@ def _crossings(ps, tol):
             for k in range(_LEVELS):
                 s = width >> (k + 1)
                 edges[:, s::2 * s] = 0.5 * (edges[:, : -s : 2 * s] + edges[:, 2 * s :: 2 * s])
-            p_live = ps[live[0]] if len(live) == 1 else np.array([ps[i] for i in live])[:, None]
-            values = _advantage(p_live, edges if first else edges[:, 1:-1])
+            values = _advantage(noise, edges if first else edges[:, 1:-1])
             _certify(ps, live, edges, values, first)
-            ahead = values[:, 1:-1] > 0.0 if first else values > 0.0
-            for i, row, row_ahead in zip(live, edges.tolist(), ahead.tolist()):
+            mids = values[:, 1:-1] if first else values
+            for i, row, row_mids in zip(live, edges.tolist(), mids.tolist()):
                 a, b = 0, width
                 while b - a > 1 and _splits(row[a], row[(a + b) // 2], row[b], tol):
                     m = (a + b) // 2
-                    if row_ahead[m - 1]:
+                    if row_mids[m - 1] > 0.0:
                         a = m
                     else:
                         b = m
                     iterations[i] += 1
                 los[i], his[i] = row[a], row[b]
-            live = [i for i in chunk if _splits(los[i], 0.5 * (los[i] + his[i]), his[i], tol)]
-            first = False
+            still = [i for i in live if _splits(los[i], 0.5 * (los[i] + his[i]), his[i], tol)]
+            if still and len(still) < len(live):
+                noise = _live_noise(ps, still)
+            live, first = still, False
     results = []
     for p, lo, hi, n in zip(ps, los, his, iterations):
         q_cross = 0.5 * (lo + hi)
@@ -336,10 +351,11 @@ def verify_checks(p, q):
     dist_err = float(max(abs(closed - sim)))
     qber_err = max(abs(0.5 * (w0 + w1) - q) for w0, w1 in flips)
     sym_err = max(abs(w1 - w0) for w0, w1 in flips)
-    opt = float(_i_ae_optimal(p, q))
-    alt = float(_i_ae_antiphase(p, q))
-    swap = abs(float(_i_ae_aligned(p, q, _beta_sq(p, q, 1.0)))
-               - float(_i_ae_aligned(p, q, _beta_sq(p, q, -1.0))))
+    noise = _noise(p)
+    opt = float(_i_ae_optimal(noise, q))
+    alt = float(_i_ae_antiphase(noise, q))
+    swap = abs(float(_i_ae_aligned(noise, q, _beta_sq(noise, q, 1.0)))
+               - float(_i_ae_aligned(noise, q, _beta_sq(noise, q, -1.0))))
     lr = lagrange_residual(params)
     checks = [
         ("constraints", residual <= 1e-10, f"max residual {residual:.3e}"),

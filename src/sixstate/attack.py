@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .exceptions import ConstraintError, DomainError
-from .info import _root, _weights
+from .info import _noise, _root, _weights
 from .protocol import _float, check_domain, check_range
 
 __all__ = [
@@ -196,7 +196,7 @@ def optimal_parameters(p, q):
     weight itself rounds to 1.
     """
     p, q = check_domain(p, q)
-    theta = 0.5 * math.atan2(overlap_target(p, q), float(_root(p, q)))
+    theta = 0.5 * math.atan2(overlap_target(p, q), float(_root(_noise(p), q)))
     big, small = math.cos(theta), math.sin(theta)
     return AttackParameters(
         p=p,

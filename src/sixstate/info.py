@@ -17,7 +17,17 @@ itself.  The kernels broadcast over numpy arrays and check nothing;
 each public function validates its scalar arguments and then calls
 them, and `sixstate.analysis` calls them on whole grids.
 
-On arrays these kernels and `_xlog2`/`_tau` are computed in place: each
+The closed forms (`_root`, `_beta_sq`, `_i_ae_aligned`, `_i_ae_optimal`
+and `_i_ae_antiphase`) take the noise weight as the terms of `_noise`:
+p/2, 1 - p/2, 1 - p and the entropy term ``h(p/2) = (p/2) log2 (p/2) +
+(1 - p/2) log2 (1 - p/2)``, formed once per noise weight.  A caller
+that evaluates one p at many q forms them once: the crossing search of
+`sixstate.analysis` once per chunk of rows, not in every bisection
+round.  Within one call q - p/2 and 1 - p/2 - q are formed once, for
+the root and the closed form both.  The grid's `_i_ae` takes p itself
+and is untouched by this.
+
+On arrays the kernels and `_xlog2`/`_tau` are computed in place: each
 creates one fresh result and applies the remaining steps to it.
 Scalars (Python or numpy floats, and what 0-d arrays turn into) take
 the plain expressions, since an ``out=`` call on a scalar costs several
@@ -25,12 +35,13 @@ times the arithmetic.  The grid search passes `_i_ae` a scratch block,
 one per search, that every round reuses: then each intermediate, down
 to the `_xlog2` terms, is built in that block's rows instead of fresh
 arrays.  Every step is the same operation on the same operands as the
-plain expression but one: on the scratch path the zero guard is
-``max(x, 5e-324)``, not ``x + (x == 0)``, so a zero weight's term is
-``-0.0``, not ``0.0``.  The sums in `_tau` and `_i_ae` absorb it, so
-their results are bit-identical to the plain expressions'.  No kernel
-writes into its arguments, only into the rows it is handed as ``out``
-or ``scratch``.
+plain expression but one: where an `_xlog2` term is built in a given
+array (in `_i_ab` and the closed forms on arrays, and in `_i_ae` on
+the scratch path) the zero guard is ``max(x, 5e-324)``, not ``x + (x ==
+0)``, so a zero term is ``-0.0``, not ``0.0``.  Every sum it enters
+absorbs it, so the results are bit-identical to the plain
+expressions'.  No kernel writes into its arguments, only into its own
+fresh arrays and the rows it is handed as ``out`` or ``scratch``.
 
 The closed forms in this module have two independent cross-checks
 elsewhere in the package: `mutual_information` applied to the joint
@@ -199,7 +210,14 @@ def mutual_information(joint):
 
 
 def _i_ab(q):
-    return 1.0 + _xlog2(q) + _xlog2(1.0 - q)
+    """``1 + q log2 q + (1 - q) log2 (1 - q)``; broadcasts, checks nothing."""
+    if not isinstance(q, np.ndarray) or not q.ndim:
+        return 1.0 + _xlog2(q) + _xlog2(1.0 - q)
+    s = _xlog2(q, np.empty(q.shape))
+    s += 1.0
+    r = 1.0 - q
+    s += _xlog2(r, np.empty_like(r))
+    return s
 
 
 def i_ab(q):
@@ -212,15 +230,50 @@ def i_ab(q):
     return float(_i_ab(q))
 
 
-def _root(p, q):
-    """The square-root term of `beta_sq_optimal`, capped at 1; broadcasts."""
-    root = np.sqrt((q - p / 2.0) * (2.0 - 3.0 * q - p / 2.0)) / (1.0 - p / 2.0 - q)
-    return np.minimum(root, 1.0)
+def _noise(p):
+    """The factors of the closed forms that depend on the noise weight alone.
+
+    Returns ``(p, p/2, 1 - p/2, 1 - p, h, 1 + h)`` with ``h = (p/2) log2
+    (p/2) + (1 - p/2) log2 (1 - p/2)``; in ``1 + h`` the two terms are
+    added to 1 in turn.  p is a float or an array, such as a column of p
+    against rows of q; the terms then have its shape.  The h terms of a
+    scalar p are Python floats.  Broadcasts, checks nothing.
+    """
+    half = p / 2.0
+    rest = 1.0 - half
+    a, b = _xlog2(half), _xlog2(rest)
+    h, h1 = a + b, 1.0 + a + b
+    if not isinstance(h, np.ndarray):
+        h, h1 = float(h), float(h1)
+    return p, half, rest, 1.0 - p, h, h1
 
 
-def _beta_sq(p, q, sign):
+def _spans(noise, q):
+    """``(q - p/2, 1 - p/2 - q)``, fresh where q is an array; broadcasts."""
+    return q - noise[1], noise[2] - q
+
+
+def _root(noise, q, spans=None):
+    """The square-root term of `beta_sq_optimal`, capped at 1; broadcasts.
+
+    noise holds the terms of `_noise`; spans, if given, the `_spans` of
+    q, which this only reads.
+    """
+    dq, left = _spans(noise, q) if spans is None else spans
+    r = 2.0 - 3.0 * q
+    r -= noise[1]
+    r *= dq
+    r = np.sqrt(r)
+    r /= left
+    return np.minimum(r, 1.0)
+
+
+def _beta_sq(noise, q, sign, spans=None):
     """Root ``(1 + sign * root) / 2`` of `beta_sq_optimal` for sign +-1; broadcasts."""
-    return (1.0 + sign * _root(p, q)) / 2.0
+    root = _root(noise, q, spans)
+    beta = 1.0 + root if sign > 0 else 1.0 - root
+    beta /= 2.0
+    return beta
 
 
 def beta_sq_optimal(p, q, branch="plus"):
@@ -236,34 +289,47 @@ def beta_sq_optimal(p, q, branch="plus"):
     p, q = check_domain(p, q)
     if branch not in ("plus", "minus"):
         raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    return float(_beta_sq(p, q, 1.0 if branch == "plus" else -1.0))
+    return float(_beta_sq(_noise(p), q, 1.0 if branch == "plus" else -1.0))
 
 
-def _i_ae_aligned(p, q, beta_sq):
+def _i_ae_aligned(noise, q, beta_sq, spans=None):
     """Eve's information on the aligned-phase branch; broadcasts, checks nothing.
 
     The paper's closed form ``1 + pref h(x) + d h(p/2)`` with
     ``x = (1 - p) beta_sq + p/2``, ``h(x) = x log2 x + (1 - x) log2 (1 - x)``,
-    ``pref = (1 - p/2 - q) / (1 - p)`` and ``d = (q - p/2) / (1 - p)``.
-    This is `_i_ae` at the weights ``(beta_sq, 1 - beta_sq, 1 - beta_sq,
-    beta_sq)``, evaluated apart from it.  Swapping ``beta_sq`` for
-    ``1 - beta_sq`` turns x into ``1 - x``, which leaves h(x) and so the
-    value unchanged.  beta_sq holds the shape into which p and q
-    broadcast.
+    ``pref = (1 - p/2 - q) / (1 - p)`` and ``d = (q - p/2) / (1 - p)``,
+    at the terms of `_noise`.  This is `_i_ae` at the weights ``(beta_sq,
+    1 - beta_sq, 1 - beta_sq, beta_sq)``, evaluated apart from it.
+    Swapping ``beta_sq`` for ``1 - beta_sq`` turns x into ``1 - x``, which
+    leaves h(x) and so the value unchanged.  q and beta_sq share one
+    shape, into which the noise terms broadcast.  spans, if given, are
+    the `_spans` of q, which this writes into.
     """
-    half = p / 2.0
-    x = (1.0 - p) * beta_sq + half
-    s = _xlog2(x)
-    s += _xlog2(1.0 - x)
-    s *= (1.0 - half - q) / (1.0 - p)
+    _, half, _, kept, h, _ = noise
+    dq, left = _spans(noise, q) if spans is None else spans
+    x = kept * beta_sq
+    x += half
+    out = (np.empty_like(x), x) if isinstance(x, np.ndarray) else (None, None)
+    s = _xlog2(x, out[0])
+    s += _xlog2(1.0 - x, out[1])
+    left /= kept
+    s *= left
     s += 1.0
-    s += _disturbance(q, p) * (_xlog2(half) + _xlog2(1.0 - half))
+    dq /= kept
+    dq *= h
+    s += dq
     return s
 
 
-def _i_ae_optimal(p, q):
-    value = _i_ae_aligned(p, q, _beta_sq(p, q, 1.0))
-    return np.where(q <= p / 2.0, 0.0, value)
+def _i_ae_optimal(noise, q):
+    """`_i_ae_aligned` at the plus root of `_beta_sq`, and 0 where q <= p/2.
+
+    The root and the closed form share one `_spans` of q; q holds the
+    shape into which the noise terms broadcast.
+    """
+    spans = _spans(noise, q)
+    value = _i_ae_aligned(noise, q, _beta_sq(noise, q, 1.0, spans), spans)
+    return np.where(q <= noise[1], 0.0, value)
 
 
 def i_ae_optimal(p, q):
@@ -274,13 +340,12 @@ def i_ae_optimal(p, q):
     cannot interact without raising the error rate.
     """
     p, q = check_domain(p, q)
-    return float(_i_ae_optimal(p, q))
+    return float(_i_ae_optimal(_noise(p), q))
 
 
-def _i_ae_antiphase(p, q):
-    half = p / 2.0
-    d = _disturbance(q, p)
-    return np.where(q <= half, 0.0, d * (1.0 + _xlog2(half) + _xlog2(1.0 - half)))
+def _i_ae_antiphase(noise, q):
+    _, half, _, kept, _, h1 = noise
+    return np.where(q <= half, 0.0, (q - half) / kept * h1)
 
 
 def i_ae_antiphase(p, q):
@@ -290,4 +355,4 @@ def i_ae_antiphase(p, q):
     Never exceeds `i_ae_optimal`; at p = 0 it reduces to q.
     """
     p, q = check_domain(p, q)
-    return float(_i_ae_antiphase(p, q))
+    return float(_i_ae_antiphase(_noise(p), q))

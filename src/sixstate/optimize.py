@@ -86,14 +86,21 @@ class LagrangeResidual:
     degenerate: bool = False
 
 
-def _products(ba, bc, out=(None, None)):
-    """Products ``(pb, pg)`` of the beta and of the gamma radii; broadcasts.
+def _products(ba, bc):
+    """Products ``(pb, pg)`` of the beta and of the gamma radii; broadcasts."""
+    return np.sqrt(ba * bc), np.sqrt((1.0 - ba) * (1.0 - bc))
 
-    Given out, two arrays of the broadcast shape, they are built there.
+
+def _lattice_products(av, cv, pb, pg):
+    """`_products` over the lattice ``av[:, None]`` by ``cv``, built in pb and pg.
+
+    Each outer product goes through einsum, which takes half the time of
+    the broadcast multiply at grid 201; every entry is one product of
+    non-negative factors added to a zeroed output, so the bits are the
+    same.
     """
-    pb, pg = out
-    pb = np.sqrt(np.multiply(ba, bc, out=pb), out=pb)
-    pg = np.sqrt(np.multiply(1.0 - ba, 1.0 - bc, out=pg), out=pg)
+    np.sqrt(np.einsum("i,j->ij", av, cv, out=pb), out=pb)
+    np.sqrt(np.einsum("i,j->ij", 1.0 - av, 1.0 - cv, out=pg), out=pg)
     return pb, pg
 
 
@@ -265,7 +272,7 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
         cv = np.linspace(lo_c, hi_c, grid)
         # Row i of the lattice mask is a = av[i]; masking it row-major
         # keeps the scan order of the flattened (a, c) lattice.
-        lattice = _feasible(t, *_products(av[:, None], cv, (pb, pg)), (bound, *flags))
+        lattice = _feasible(t, *_lattice_products(av, cv, pb, pg), (bound, *flags))
         ab, cb = _boundary_candidates(t, av, lo_c, hi_c)
         if round_:
             bc_bound2, ba_bound2 = _boundary_candidates(t, cv, lo_a, hi_a)

@@ -95,12 +95,13 @@ def test_acceptance_5_branch_dominance_and_symmetry():
     worst_dom = 0.0
     worst_sym = 0.0
     for p in np.linspace(0.0, 0.3, 7):
+        noise = info._noise(p)
         for q in np.linspace(p / 2, 0.5, 21):
             opt = info.i_ae_optimal(p, q)
             worst_dom = max(worst_dom, info.i_ae_antiphase(p, q) - opt)
             swap = abs(
-                float(info._i_ae_aligned(p, q, info.beta_sq_optimal(p, q, "plus")))
-                - float(info._i_ae_aligned(p, q, info.beta_sq_optimal(p, q, "minus")))
+                float(info._i_ae_aligned(noise, q, info.beta_sq_optimal(p, q, "plus")))
+                - float(info._i_ae_aligned(noise, q, info.beta_sq_optimal(p, q, "minus")))
             )
             worst_sym = max(worst_sym, swap)
     elapsed = time.perf_counter() - start

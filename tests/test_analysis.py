@@ -172,8 +172,9 @@ def _crossing_loop(p, tol):
     hi = 0.5 - 1e-9
     iterations = 0
     q_cross = 0.5 * (lo + hi)
+    noise = info._noise(p)
     while hi - lo > tol and lo < q_cross < hi:
-        if analysis._advantage(p, q_cross) > 0.0:
+        if analysis._advantage(noise, q_cross) > 0.0:
             lo = q_cross
         else:
             hi = q_cross
@@ -207,9 +208,9 @@ class TestLockStep:
         # one, as the 65th row is) gets p as a Python float; more get a column
         calls = []
         advantage = analysis._advantage
-        def recorded(p, q):
-            calls.append((p, np.shape(q)[0]))
-            return advantage(p, q)
+        def recorded(noise, q):
+            calls.append((noise[0], np.shape(q)[0]))
+            return advantage(noise, q)
         monkeypatch.setattr(analysis, "_advantage", recorded)
         crossing_sweep(0.3, 0.3, 1)
         assert calls and all(type(p) is float and p == 0.3 for p, _ in calls)
@@ -223,7 +224,8 @@ class TestLockStep:
     def stand_in(no_change, several):
         # one sign change at q = 0.3 on every bracket, except at the p
         # given as no_change (none) and as several (three)
-        def advantage(p, q):
+        def advantage(noise, q):
+            p = noise[0]
             q = np.asarray(q, dtype=float)
             once = 0.3 - q
             thrice = -(q - 0.3) * (q - 0.35) * (q - 0.4)
@@ -252,18 +254,18 @@ class TestLockStep:
 
     def test_later_round_sees_changes_inside_one_cell(self, monkeypatch):
         # at p = ps[3] the root and two more sign changes share the round-one
-        # cell [lo + 38 w, lo + 39 w], w = (hi - lo) / 64
+        # cell [lo + 19 w, lo + 20 w], w = (hi - lo) / 32
         ps = np.linspace(0.0, 0.4, 5).tolist()
         lo, hi = ps[3] / 2.0 + 1e-9, 0.5 - 1e-9
         roots = [lo + (38 + f) * (hi - lo) / 64 for f in (0.2, 0.5, 0.8)]
 
-        def advantage(p, q):
+        def advantage(noise, q):
             q = np.asarray(q, dtype=float)
             thrice = -(q - roots[0]) * (q - roots[1]) * (q - roots[2])
-            return np.where(np.isclose(p, ps[3]), thrice, 0.3 - q)
+            return np.where(np.isclose(noise[0], ps[3]), thrice, 0.3 - q)
 
-        # round one cannot see them: one sign change on its 65 points
-        grid = advantage(ps[3], np.linspace(lo, hi, 65))
+        # round one cannot see them: one sign change on its 33 points
+        grid = advantage(info._noise(ps[3]), np.linspace(lo, hi, 33))
         assert np.count_nonzero(np.diff(np.sign(grid))) == 1
         monkeypatch.setattr(analysis, "_advantage", advantage)
         with pytest.raises(AmbiguousCrossingError, match=f"for p={ps[3]}$"):
@@ -271,9 +273,9 @@ class TestLockStep:
 
     def test_exact_zeros_skipped(self, monkeypatch):
         # an exact zero is no sign change: + ... 0 ... + ... - crosses once
-        def advantage(p, q):
+        def advantage(noise, q):
             q = np.asarray(q, dtype=float)
-            return np.where(abs(q - 0.2) < 0.02, 0.0, 0.3 - q) + 0.0 * p
+            return np.where(abs(q - 0.2) < 0.02, 0.0, 0.3 - q) + 0.0 * noise[0]
 
         monkeypatch.setattr(analysis, "_advantage", advantage)
         assert crossing_point(0.1).q_cross == pytest.approx(0.3, abs=1e-9)
@@ -281,22 +283,53 @@ class TestLockStep:
     def test_kernel_calls(self, monkeypatch):
         calls, points = [], []
         advantage = analysis._advantage
-        def counted(p, q):
+        def counted(noise, q):
             calls.append(1)
             points.append(np.size(q))
-            return advantage(p, q)
+            return advantage(noise, q)
         monkeypatch.setattr(analysis, "_advantage", counted)
         # a bracket already narrower than tol costs round one alone
         assert crossing_point(0.1, tol=1.0).iterations == 0
-        assert (len(calls), sum(points)) == (1, 65)
-        # one call per six levels for all rows; round one also takes both
-        # bracket ends, so a row costs 65 + 63 (rounds - 1) points
+        assert (len(calls), sum(points)) == (1, 33)
+        # one call per five levels for all rows; round one also takes both
+        # bracket ends, so a row costs 33 + 31 (rounds - 1) points
         calls.clear()
         points.clear()
         rows = crossing_sweep(0.0, 0.2, 21)
-        rounds = [max(1, math.ceil(r.iterations / 6)) for r in rows]
-        assert len(calls) == math.ceil(max(r.iterations for r in rows) / 6)
-        assert sum(points) == sum(65 + 63 * (n - 1) for n in rounds)
+        rounds = [max(1, math.ceil(r.iterations / 5)) for r in rows]
+        assert len(calls) == math.ceil(max(r.iterations for r in rows) / 5)
+        assert sum(points) == sum(33 + 31 * (n - 1) for n in rounds)
+
+    def test_noise_terms_formed_once_per_live_set(self, monkeypatch):
+        forms = []
+        noise = analysis._noise
+        def recorded(p):
+            forms.append(p)
+            return noise(p)
+        monkeypatch.setattr(analysis, "_noise", recorded)
+        # every row of one chunk retires in the same round: one column
+        crossing_sweep(0.0, 0.2, 21)
+        assert [np.shape(p) for p in forms] == [(21, 1)]
+        # a full chunk, then the 65th row alone, as a Python float
+        forms.clear()
+        rows = crossing_sweep(0.0, 0.2, 65)
+        assert [np.shape(p) for p in forms] == [(64, 1), ()]
+        assert type(forms[1]) is float and forms[1] == rows[64].p
+        # at this tol the brackets of small p take 26 steps (six rounds) and
+        # those of large p 25 (five): after round five only the rows still
+        # live are formed again
+        forms.clear()
+        rows = crossing_sweep(0.0, 0.5, 11, tol=1e-8)
+        rounds = [max(1, math.ceil(r.iterations / 5)) for r in rows]
+        assert len(set(rounds)) > 1
+        want, live = [[r.p for r in rows]], rows
+        for k in range(1, max(rounds)):
+            still = [r for r, n in zip(rows, rounds) if n > k]
+            if len(still) < len(live):
+                want.append([r.p for r in still])
+            live = still
+        assert [np.ravel(p).tolist() for p in forms] == want
+        assert all(np.shape(p) == (len(w), 1) for p, w in zip(forms, want) if len(w) > 1)
 
     def test_memory_bounded_by_chunks(self):
         tracemalloc.start()
@@ -380,11 +413,12 @@ def _set_check_value(m, name, v):
             return eve, [[w0 + s0, w1 + s1] for w0, w1 in flips]
         m.setattr(analysis, "simulate", shifted)
     elif name == "branch dominance":
-        m.setattr(analysis, "_i_ae_antiphase", lambda p, q: info._i_ae_optimal(p, q) + v)
+        m.setattr(analysis, "_i_ae_antiphase",
+                  lambda noise, q: info._i_ae_optimal(noise, q) + v)
     elif name == "branch symmetry":
         real_aligned = analysis._i_ae_aligned
         m.setattr(analysis, "_i_ae_aligned",
-                  lambda p, q, b: real_aligned(p, q, b) + (v if b < 0.5 else 0.0))
+                  lambda noise, q, b: real_aligned(noise, q, b) + (v if b < 0.5 else 0.0))
     else:
         m.setattr(analysis, "lagrange_residual", lambda params: optimize.LagrangeResidual(v))
 

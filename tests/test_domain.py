@@ -115,13 +115,13 @@ def test_noise_raises_the_threshold():
 
 
 def test_advantage_strictly_decreasing():
-    # Why the crossing search may certify one crossing on a grid of 65
+    # Why the crossing search may certify one crossing on a grid of 33
     # points: on (0, 1/2), I_AB'(q) = log2(q / (1-q)) < 0 and Eve's optimum
     # does not decrease in q, so Bob's advantage falls strictly on every
     # search bracket.  One row at a time keeps the memory small.
     for p in np.linspace(0.0, 0.5, 501).tolist():
         q = np.linspace(p / 2.0 + 1e-9, 0.5 - 1e-9, 20_001)
-        steps = np.diff(analysis._advantage(p, q))
+        steps = np.diff(analysis._advantage(info._noise(p), q))
         assert steps.max() < 0.0, (p, steps.max())
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sixstate import attack, info
+from sixstate import analysis, attack, info
 from sixstate.exceptions import DomainError
 from sixstate.info import (
     _i_ae,
@@ -70,12 +70,57 @@ def _i_ae_aligned_reference(p, q, beta_sq):
             + d * (_xlog2_reference(half) + _xlog2_reference(1.0 - half)))
 
 
+def _beta_sq_reference(p, q, sign):
+    root = np.sqrt((q - p / 2.0) * (2.0 - 3.0 * q - p / 2.0)) / (1.0 - p / 2.0 - q)
+    return (1.0 + sign * np.minimum(root, 1.0)) / 2.0
+
+
+def _i_ae_optimal_reference(p, q):
+    value = _i_ae_aligned_reference(p, q, _beta_sq_reference(p, q, 1.0))
+    return np.where(q <= p / 2.0, 0.0, value)
+
+
+def _i_ae_antiphase_reference(p, q):
+    half = p / 2.0
+    d = (q - p / 2.0) / (1.0 - p)
+    return np.where(q <= half, 0.0,
+                    d * (1.0 + _xlog2_reference(half) + _xlog2_reference(1.0 - half)))
+
+
+def _i_ab_reference(q):
+    return 1.0 + _xlog2_reference(q) + _xlog2_reference(1.0 - q)
+
+
+def _advantage_reference(p, q):
+    return _i_ab_reference(q) - _i_ae_optimal_reference(p, q)
+
+
+# The closed-form kernels take the terms of info._noise in place of p; the
+# tests call them through these, at p.
+def _at_p(kernel):
+    return lambda p, *args: kernel(info._noise(p), *args)
+
+
 def _crossing_shape():
     """p down the rows against a (rows, 63) q, as the crossing search calls it."""
     p = np.linspace(0.0, 0.5, 7)[:, None]
     q = p / 2.0 + np.linspace(0.0, 1.0, 63) * (0.5 - p / 2.0)
-    ba = info._beta_sq(p, q, 1.0)
+    ba = info._beta_sq(info._noise(p), q, 1.0)
     return p, q, ba, 1.0 - ba, 1.0 - ba, ba
+
+
+def _crossing_view():
+    """The midpoint columns of (rows, 65) brackets, a strided view, as later rounds pass q."""
+    p = np.linspace(0.0, 0.5, 7)[:, None]
+    edges = p / 2.0 + np.linspace(0.0, 1.0, 65) * (0.5 - p / 2.0)
+    return p, edges[:, 1:-1]
+
+
+def _lone_row():
+    """A Python float p against a (1, 63) q, as the crossing search calls one live row."""
+    p = 0.3
+    q = p / 2.0 + np.linspace(0.0, 1.0, 63)[None, :] * (0.5 - p / 2.0)
+    return p, q, info._beta_sq(info._noise(p), q, 1.0)
 
 
 def _lattice():
@@ -126,6 +171,18 @@ _I_AE_ALIGNEDS = {
     "0d_arrays": tuple(np.array(v) for v in (0.1, 0.05, 0.5)),
     "curve_shape": (0.3, np.linspace(0.15, 0.5, 9), np.linspace(0.5, 1.0, 9)),
     "crossing_shape": _crossing_shape()[:3],
+    "lone_row": _lone_row(),
+}
+# p and q alone, as the crossing search and the curves call them
+_P_QS = {
+    "python_floats": (0.05, 0.12),
+    "python_edges": (0.1, 0.05),
+    "float64": (np.float64(0.1), np.float64(0.3)),
+    "curve_shape": (0.3, np.linspace(0.15, 0.5, 9)),
+    "zero_noise_curve": (0.0, np.linspace(0.0, 0.5, 9)),
+    "crossing_shape": _crossing_shape()[:2],
+    "crossing_view": _crossing_view(),
+    "lone_row": _lone_row()[:2],
 }
 
 
@@ -142,7 +199,16 @@ _KERNELS = [
         ("i_ae", _i_ae, _i_ae_reference, _I_AES),
         ("i_ae_scratch", _i_ae_in_scratch, _i_ae_reference,
          {case: _I_AES[case] for case in ("lattice", "zero_noise_edges", "crossing_shape")}),
-        ("i_ae_aligned", info._i_ae_aligned, _i_ae_aligned_reference, _I_AE_ALIGNEDS),
+        ("i_ae_aligned", _at_p(info._i_ae_aligned), _i_ae_aligned_reference, _I_AE_ALIGNEDS),
+        ("beta_sq_plus", lambda p, q: _at_p(info._beta_sq)(p, q, 1.0),
+         lambda p, q: _beta_sq_reference(p, q, 1.0), _P_QS),
+        ("beta_sq_minus", lambda p, q: _at_p(info._beta_sq)(p, q, -1.0),
+         lambda p, q: _beta_sq_reference(p, q, -1.0), _P_QS),
+        ("i_ae_optimal", _at_p(info._i_ae_optimal), _i_ae_optimal_reference, _P_QS),
+        ("i_ae_antiphase", _at_p(info._i_ae_antiphase), _i_ae_antiphase_reference, _P_QS),
+        ("advantage", _at_p(analysis._advantage), _advantage_reference, _P_QS),
+        ("i_ab", info._i_ab, _i_ab_reference,
+         {case: args[1:] for case, args in _P_QS.items()} | {"0d_array": (np.array(0.2),)}),
     ]
     for case, args in cases.items()
 ]
@@ -310,8 +376,9 @@ class TestIAEOptimal:
     @pytest.mark.parametrize("p,q", GRID)
     def test_branch_swap_invariance(self, p, q):
         # the kernel behind verify's "branch symmetry" check
-        plus = float(_i_ae_aligned(p, q, beta_sq_optimal(p, q, "plus")))
-        minus = float(_i_ae_aligned(p, q, beta_sq_optimal(p, q, "minus")))
+        noise = info._noise(p)
+        plus = float(_i_ae_aligned(noise, q, beta_sq_optimal(p, q, "plus")))
+        minus = float(_i_ae_aligned(noise, q, beta_sq_optimal(p, q, "minus")))
         assert abs(plus - minus) <= 1e-14
 
     @pytest.mark.parametrize("p,q", GRID)
@@ -333,9 +400,10 @@ def test_closed_form_matches_general_kernel_on_domain_lattice():
     p = np.linspace(0.0, 0.95, 96)[:, None]
     q = p / 2.0 + np.linspace(0.0, 1.0, 2001) * (0.5 - p / 2.0)
     values = []
+    noise = info._noise(p)
     for sign in (1.0, -1.0):
-        b = info._beta_sq(p, q, sign)
-        closed = info._i_ae_aligned(p, q, b)
+        b = info._beta_sq(noise, q, sign)
+        closed = info._i_ae_aligned(noise, q, b)
         assert closed.shape == q.shape
         assert np.abs(closed - _i_ae(p, q, b, 1.0 - b, 1.0 - b, b)).max() <= 2e-15
         values.append(closed)

@@ -362,6 +362,22 @@ class TestArrayGeometry:
             assert repr(got) == repr(want), (p, q)
             assert got.evaluations == want.evaluations, (p, q)
 
+    @pytest.mark.parametrize("grid", [51, 201])
+    def test_lattice_products_match_broadcast(self, grid):
+        # round 0's axes and a refined window's, with exact 0 and 1 on both
+        axes = [
+            (np.linspace(0.0, 1.0, grid), np.linspace(0.0, 1.0, grid)),
+            (np.linspace(0.95, 1.0, grid), np.linspace(0.0, 0.05, grid)),
+            (np.linspace(0.3, 0.4, grid), np.linspace(0.61, 0.62, grid)),
+        ]
+        for av, cv in axes:
+            pb, pg = (np.full((grid, grid), np.nan) for _ in range(2))
+            got = optimize._lattice_products(av, cv, pb, pg)
+            want = optimize._products(av[:, None], cv)
+            assert got[0] is pb and got[1] is pg
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize("grid", [51, 77])
     def test_round_zero_evaluates_one_of_each_mirror_pair(self, monkeypatch, grid):
         sizes = []
