@@ -18,7 +18,8 @@ import numpy as np
 from .attack import (build_ancillas, build_isometry, eve_distribution_closed_form,
                      optimal_parameters, overlap_target, simulate)
 from .exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
-from .info import _beta_sq, _i_ab, _i_ae_aligned, _i_ae_antiphase, _i_ae_optimal, _noise
+from .info import (_beta_sq, _i_ab, _i_ae_aligned, _i_ae_antiphase, _i_ae_optimal, _noise,
+                   _optimum)
 from .optimize import lagrange_residual
 from .protocol import _disturbance, _float, check_count, check_domain, check_range
 
@@ -120,14 +121,15 @@ def _curve_rows(p, steps):
     qs = np.linspace(p / 2.0, 0.5, steps)
     i_ab = _i_ab(qs).tolist()
     noise = _noise(p)
+    beta_sq, i_ae = _optimum(noise, qs)
     return zip(
         qs.tolist(),
         i_ab,
-        _i_ae_optimal(noise, qs).tolist(),
+        i_ae.tolist(),
         _i_ae_antiphase(noise, qs).tolist(),
         i_ab,
         _i_ae_optimal(_noise(0.0), qs).tolist(),
-        _beta_sq(noise, qs, 1.0).tolist(),
+        beta_sq.tolist(),
     )
 
 

@@ -17,8 +17,8 @@ itself.  The kernels broadcast over numpy arrays and check nothing;
 each public function validates its scalar arguments and then calls
 them, and `sixstate.analysis` calls them on whole grids.
 
-The closed forms (`_root`, `_beta_sq`, `_i_ae_aligned`, `_i_ae_optimal`
-and `_i_ae_antiphase`) take the noise weight as the terms of `_noise`:
+The closed forms (`_root`, `_beta_sq`, `_i_ae_aligned`, `_optimum`,
+`_i_ae_optimal` and `_i_ae_antiphase`) take the noise weight as the terms of `_noise`:
 p/2, 1 - p/2, 1 - p and the entropy term ``h(p/2) = (p/2) log2 (p/2) +
 (1 - p/2) log2 (1 - p/2)``, formed once per noise weight.  A caller
 that evaluates one p at many q forms them once: the crossing search of
@@ -27,21 +27,17 @@ round.  Within one call q - p/2 and 1 - p/2 - q are formed once, for
 the root and the closed form both.  The grid's `_i_ae` takes p itself
 and is untouched by this.
 
-On arrays the kernels and `_xlog2`/`_tau` are computed in place: each
+On arrays the closed forms and `_i_ab` are computed in place: each
 creates one fresh result and applies the remaining steps to it.
 Scalars (Python or numpy floats, and what 0-d arrays turn into) take
 the plain expressions, since an ``out=`` call on a scalar costs several
-times the arithmetic.  The grid search passes `_i_ae` a scratch block,
-one per search, that every round reuses: then each intermediate, down
-to the `_xlog2` terms, is built in that block's rows instead of fresh
-arrays.  Every step is the same operation on the same operands as the
-plain expression but one: where an `_xlog2` term is built in a given
-array (in `_i_ab` and the closed forms on arrays, and in `_i_ae` on
-the scratch path) the zero guard is ``max(x, 5e-324)``, not ``x + (x ==
-0)``, so a zero term is ``-0.0``, not ``0.0``.  Every sum it enters
-absorbs it, so the results are bit-identical to the plain
+times the arithmetic.  Every step is the same operation on the same
+operands as the plain expression but one: where an `_xlog2` term is
+built in a given array the zero guard is ``max(x, 5e-324)``, not ``x +
+(x == 0)``, so a zero term is ``-0.0``, not ``0.0``.  Every sum it
+enters absorbs it, so the results are bit-identical to the plain
 expressions'.  No kernel writes into its arguments, only into its own
-fresh arrays and the rows it is handed as ``out`` or ``scratch``.
+fresh arrays.  `_i_ae` takes the plain expressions on arrays too.
 
 The closed forms in this module have two independent cross-checks
 elsewhere in the package: `mutual_information` applied to the joint
@@ -85,16 +81,10 @@ def _xlog2(x, out=None):
     return z
 
 
-def _tau(x, y, out=(None, None, None)):
-    """x log2 x + y log2 y - (x + y) log2 (x + y); broadcasts, checks nothing.
-
-    Given out, three arrays of x's shape, the result is built in the
-    first, the second is work space and x + y is formed in the third,
-    which may be x itself.
-    """
-    r, t, u = out
-    s = np.add(_xlog2(x, r), _xlog2(y, t), out=r)
-    s -= _xlog2(x + y if u is None else np.add(x, y, out=u), t)
+def _tau(x, y):
+    """x log2 x + y log2 y - (x + y) log2 (x + y); broadcasts, checks nothing."""
+    s = _xlog2(x) + _xlog2(y)
+    s -= _xlog2(x + y)
     return s
 
 
@@ -108,22 +98,9 @@ def _scales(p, q):
     return half, _disturbance(q, p), (1.0 - half - q) / (1.0 - p)
 
 
-def _mix(half, a, c, out=(None, None, None)):
-    """The weight pair ``((1 - half) a + half c, half a + (1 - half) c)``; broadcasts.
-
-    Given out, three arrays of a's shape, the pair is built in the first
-    two and the third is work space.
-    """
-    w0, w1, t = out
-
-    def mul(x, y, into):
-        return x * y if into is None else np.multiply(x, y, out=into)
-
-    w0 = mul(1.0 - half, a, w0)
-    w0 += mul(half, c, t)
-    w1 = mul(half, a, w1)
-    w1 += mul(1.0 - half, c, t)
-    return w0, w1
+def _mix(half, a, c):
+    """The weight pair ``((1 - half) a + half c, half a + (1 - half) c)``; broadcasts."""
+    return (1.0 - half) * a + half * c, half * a + (1.0 - half) * c
 
 
 def _weights(p, q, ba, bc, ga, gc):
@@ -138,20 +115,16 @@ def _weights(p, q, ba, bc, ga, gc):
     return d, pref, _mix(half, ba, bc), _mix(half, ga, gc)
 
 
-def _i_ae(p, q, ba, bc, ga, gc, scratch=None):
+def _i_ae(p, q, ba, bc, ga, gc):
     """Eve's information for squared probe weights; broadcasts, checks nothing.
 
     ``1 + (pref / 2) (_tau(*beta) + _tau(*gamma)) + d _tau(1 - p/2, p/2)`` over
     the weights of `_weights`.  The four weights share one shape, into
     which p and q broadcast; on arrays the result is built in that shape.
-    Given scratch, five arrays of that shape (a ``(5, ...)`` block), every
-    intermediate and the result are built in them; the beta pair is
-    folded in before the gamma pair is formed, so five suffice.
     """
     half, d, pref = _scales(p, q)
-    w0, w1, t, s, u = (None,) * 5 if scratch is None else scratch
-    s = _tau(*_mix(half, ba, bc, (w0, w1, t)), (s, t, w0))
-    s += _tau(*_mix(half, ga, gc, (w0, w1, t)), (u, t, w0))
+    s = _tau(*_mix(half, ba, bc))
+    s += _tau(*_mix(half, ga, gc))
     s *= 0.5 * pref
     s += 1.0
     s += d * _tau(1.0 - half, half)
@@ -321,15 +294,21 @@ def _i_ae_aligned(noise, q, beta_sq, spans=None):
     return s
 
 
-def _i_ae_optimal(noise, q):
-    """`_i_ae_aligned` at the plus root of `_beta_sq`, and 0 where q <= p/2.
+def _optimum(noise, q):
+    """The plus root of `_beta_sq`, and `_i_ae_aligned` there or 0 where q <= p/2.
 
     The root and the closed form share one `_spans` of q; q holds the
-    shape into which the noise terms broadcast.
+    shape into which the noise terms broadcast.  Returns ``(beta_sq,
+    value)``.
     """
     spans = _spans(noise, q)
-    value = _i_ae_aligned(noise, q, _beta_sq(noise, q, 1.0, spans), spans)
-    return np.where(q <= noise[1], 0.0, value)
+    beta = _beta_sq(noise, q, 1.0, spans)
+    return beta, np.where(q <= noise[1], 0.0, _i_ae_aligned(noise, q, beta, spans))
+
+
+def _i_ae_optimal(noise, q):
+    """The value of `_optimum`: Eve's optimal information at the terms of `_noise`."""
+    return _optimum(noise, q)[1]
 
 
 def i_ae_optimal(p, q):

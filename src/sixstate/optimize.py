@@ -6,7 +6,9 @@ square: the unit-norm conditions fix the gamma radii, and the overlap
 condition fixes the cosine of the phase difference wherever a feasible
 phase exists.  A deterministic lattice sweep with iterated window
 refinement then serves as an oracle that is independent of every closed
-form in `sixstate.info`.
+form in `sixstate.info`.  The sweep skips lattice points by convexity
+of the objective alone, which uses no stationarity result, so the
+closed forms and the paper's optimum play no part in the search.
 
 The module also evaluates the first-order optimality system: the four
 radius derivatives of the objective against the three constraint
@@ -39,13 +41,14 @@ _FEAS_SLACK = 1e-12
 # Residual cut separating true overlap-boundary roots from the spurious
 # roots introduced by squaring the boundary equation.
 _BOUNDARY_CUT = 1e-9
-# Largest lattice size per axis; grid_refine_maximize holds a workspace of
-# 7 (grid^2 + 4 grid) floats and the gathered candidates, ~297 MB at the
-# peak of a round at 2001 (tracemalloc, at p = 0.2, q = 0.3).
+# Largest lattice size per axis; grid_refine_maximize holds 3 grid^2 floats
+# and 2 grid^2 booleans, plus the points it evaluates.  At 2001 its
+# tracemalloc peak is ~109 MB at p = 0.2, q = 0.3 and ~300 MB at q = p/2,
+# where every feasible point is evaluated.
 _MAX_GRID = 2001
-# Candidate-length rows of the objective's scratch: 1 - ba, 1 - bc and
-# the five of info._i_ae.
-_SCRATCH_ROWS = 7
+# Bound on the round-off of one objective value, by which the row chords
+# of grid_refine_maximize stay clear of a point they skip; see there.
+_MARGIN = 1e-12
 # Most refinement rounds.  Each costs one lattice sweep; on 20 random (p, q)
 # at grid 201, no result changed after round 14.
 _MAX_REFINE = 30
@@ -152,19 +155,46 @@ def feasible_phase(r_beta_a_sq, r_beta_c_sq, p, q):
     return _phase_cos(t, pb, pg)
 
 
-def _objective(p, q, ba, bc, scratch=None):
+def _objective(p, q, ba, bc):
     """Eve's information over arrays of squared weights.
 
     The gamma weights follow from the unit norms; the objective never
-    depends on the phases.  Given scratch, a ``(_SCRATCH_ROWS, n)`` block
-    for n candidates, the gamma weights, every intermediate and the
-    result are built in it.
+    depends on the phases.
     """
-    if scratch is None:
-        return _i_ae(p, q, ba, bc, 1.0 - ba, 1.0 - bc)
-    ga = np.subtract(1.0, ba, out=scratch[0])
-    gc = np.subtract(1.0, bc, out=scratch[1])
-    return _i_ae(p, q, ba, bc, ga, gc, scratch[2:])
+    return _i_ae(p, q, ba, bc, 1.0 - ba, 1.0 - bc)
+
+
+def _chord_interior(lattice, cv, rows, first, last, v_first, v_last, floor):
+    """Interior feasible points of lattice rows whose chord reaches floor.
+
+    Entry k describes lattice row ``rows[k]``: its first and last
+    feasible columns, ``first[k] <= last[k]``, and the objective there,
+    v_first[k] and v_last[k].  The chord through those two points is
+    linear in the column coordinate cv, so it reaches floor on one
+    interval of cv: everywhere if both values reach floor, nowhere if
+    neither does, and otherwise on the side of the end that does, from
+    the crossing ``c_first + (c_last - c_first) ((floor - v_first) /
+    (v_last - v_first))`` on, crossing included.  Returns the feasible
+    columns strictly between first and last inside that interval, as
+    row and column index arrays in row-major order.
+    """
+    rise = v_last >= floor
+    fall = v_first >= floor
+    live = np.flatnonzero(rise | fall)
+    if not live.size:
+        return live, live
+    rows, first, last = rows[live], first[live], last[live]
+    rise, fall, v0 = rise[live], fall[live], v_first[live]
+    frac = np.divide(floor - v0, v_last[live] - v0, out=np.zeros(live.size), where=rise != fall)
+    cf = cv[first]
+    cut = cf + (cv[last] - cf) * frac
+    lo = np.maximum(first + 1, np.where(fall, 0, np.searchsorted(cv, cut, "left")))
+    hi = np.minimum(last, np.where(rise, cv.size, np.searchsorted(cv, cut, "right")))
+    n = np.maximum(hi - lo, 0)
+    k = np.repeat(np.arange(rows.size), n)
+    col = np.arange(k.size) - np.repeat(np.cumsum(n) - n, n) + lo[k]
+    keep = lattice[rows[k], col]
+    return rows[k[keep]], col[keep]
 
 
 def _boundary_candidates(t, axis_vals, lo, hi):
@@ -222,12 +252,31 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     maximizer, and so the result, is unchanged.  Each off-diagonal point
     still counts twice in ``evaluations``.
 
-    Each call allocates one float workspace, plus one boolean block for
-    the feasibility mask, and every round reuses them: first for the
-    lattice products and their slack sums, then, once the candidates
-    are gathered, for every intermediate of the objective.  Freeing
-    megabytes of per-round temporaries made the allocator hand the heap
-    back to the OS each round and fault it in again on the next one.
+    A round evaluates the objective only where a lattice point can win.
+    Eve's information is convex in ``(beta_a_sq, beta_c_sq)``: `_tau` is
+    minus the perspective of the binary entropy, so jointly convex, the
+    beta and gamma weight pairs are affine in the two squared weights,
+    and the kept-signal weight is non-negative.  So on one lattice row
+    (fixed beta_a_sq) every point lies on or under the chord between the
+    row's first and last feasible points.  The computed values are that
+    convex function, at the float coefficients of `_scales`, plus a
+    round-off of a few 1e-16 per point; ``_MARGIN = 1e-12`` bounds it
+    with a factor of 1,000 to spare (tests/test_optimize.py measures it
+    against a 50-digit reference).  A round first evaluates each row's
+    first and last feasible point and the boundary points.  Then only
+    those interior points whose chord value is at least the best value
+    so far, this round's or an earlier round's, less ``2 _MARGIN`` (see
+    `_chord_interior`): any other point's computed value is below that
+    best, so it can neither be the round's earliest maximizer nor beat
+    an earlier round.  The result and ``evaluations`` are those of the
+    full sweep, bit for bit.  Where the objective is flat within the
+    margin, as at q = p/2, nothing is skipped.
+
+    Each call allocates one float block for the lattice products and
+    their slack sums, plus one boolean block for the feasibility mask,
+    and every round reuses them.  Freeing megabytes of per-round
+    temporaries made the allocator hand the heap back to the OS each
+    round and fault it in again on the next one.
 
     Parameters
     ----------
@@ -261,11 +310,10 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     lo_c, hi_c = 0.0, 1.0
     best_a = best_c = best_j = None
     evaluations = 0
-    # A round holds at most grid^2 lattice and 4 grid boundary candidates.
+    # Keys at or past cells are boundary points, which the scan meets last.
     cells = grid * grid
-    block = np.empty(max(3 * cells, _SCRATCH_ROWS * (cells + 4 * grid)))
+    pb, pg, bound = np.empty((3, grid, grid))
     flags = np.empty((2, grid, grid), dtype=bool)
-    pb, pg, bound = block[: 3 * cells].reshape(3, grid, grid)
 
     for round_ in range(refine_iters + 1):
         av = np.linspace(lo_a, hi_a, grid)
@@ -284,26 +332,45 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
             n_diag = int(np.count_nonzero(lattice.diagonal()))
             lattice &= np.less_equal(av[:, None], cv, out=flags[1])
         keep = _feasible(t, *_products(ab, cb))
-        fa = np.concatenate([np.repeat(av, lattice.sum(axis=1)), ab[keep]])
-        fc = np.concatenate([np.broadcast_to(cv, lattice.shape)[lattice], cb[keep]])
+        ab, cb = ab[keep], cb[keep]
+        counts = np.count_nonzero(lattice, axis=1)
+        size = int(counts.sum()) + ab.size
 
         # Round 0 holds the corner (0, 0), where pb = 0 and pg = 1, so it
         # is feasible for every t <= 1 + 1e-12; only a refined window can
         # come up empty.
-        if not fa.size:
+        if not size:
             if best_j is None:
                 raise ConstraintError(
                     f"no feasible lattice point in round 0 (overlap target t = {t!r})"
                 )
             break
-        # The lattice products and mask are dead once fa and fc are
-        # gathered, so the objective's scratch reuses their block.
-        scratch = block[: _SCRATCH_ROWS * fa.size].reshape(_SCRATCH_ROWS, fa.size)
-        vals = _objective(p, q, fa, fc, scratch)
         # In round 0 each off-diagonal candidate stands for its mirror too.
-        evaluations += vals.size if round_ else 2 * vals.size - n_diag
-        k = int(np.argmax(vals))
-        cand = (float(fa[k]), float(fc[k]), float(vals[k]))
+        evaluations += size if round_ else 2 * size - n_diag
+
+        # Each row's first and last feasible point (a lone point twice),
+        # then the boundary points; a key is the candidate's place in
+        # scan order.
+        rows = np.flatnonzero(counts)
+        first = lattice.argmax(axis=1)[rows]
+        last = (grid - 1) - lattice[:, ::-1].argmax(axis=1)[rows]
+        ia = np.concatenate([rows, rows])
+        ja = np.concatenate([first, last])
+        vals = _objective(p, q, np.concatenate([av[ia], ab]), np.concatenate([cv[ja], cb]))
+        keys = np.concatenate([ia * grid + ja, np.arange(cells, cells + ab.size)])
+        # Then the interior points that their row's chord cannot exclude.
+        floor = vals.max() if best_j is None else max(vals.max(), best_j)
+        i, j = _chord_interior(lattice, cv, rows, first, last, vals[: rows.size],
+                               vals[rows.size : ia.size], floor - 2.0 * _MARGIN)
+        if i.size:
+            vals = np.concatenate([vals, _objective(p, q, av[i], cv[j])])
+            keys = np.concatenate([keys, i * grid + j])
+        top = vals.max()
+        k = int(keys[vals == top].min())
+        if k < cells:
+            cand = (float(av[k // grid]), float(cv[k % grid]), float(top))
+        else:
+            cand = (float(ab[k - cells]), float(cb[k - cells]), float(top))
         if best_j is None or cand[2] > best_j:
             best_a, best_c, best_j = cand
         # Keep the window centered on the larger-weight twin of the two

@@ -186,19 +186,12 @@ _P_QS = {
 }
 
 
-def _i_ae_in_scratch(p, q, ba, bc, ga, gc):
-    """`_i_ae` built in a caller-given scratch, filled with NaN beforehand."""
-    return _i_ae(p, q, ba, bc, ga, gc, np.full((5, *np.shape(ba)), np.nan))
-
-
 _KERNELS = [
     pytest.param(kernel, reference, args, id=f"{name}-{case}")
     for name, kernel, reference, cases in [
         ("xlog2", _xlog2, _xlog2_reference, _XS),
         ("tau", _tau, _tau_reference, _TAUS),
         ("i_ae", _i_ae, _i_ae_reference, _I_AES),
-        ("i_ae_scratch", _i_ae_in_scratch, _i_ae_reference,
-         {case: _I_AES[case] for case in ("lattice", "zero_noise_edges", "crossing_shape")}),
         ("i_ae_aligned", _at_p(info._i_ae_aligned), _i_ae_aligned_reference, _I_AE_ALIGNEDS),
         ("beta_sq_plus", lambda p, q: _at_p(info._beta_sq)(p, q, 1.0),
          lambda p, q: _beta_sq_reference(p, q, 1.0), _P_QS),
