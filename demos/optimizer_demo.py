@@ -2,8 +2,9 @@
 """Put the closed-form optimum on trial against brute force.
 
 The claimed maximum of Eve's information has an analytic form.  This
-script re-derives it numerically three independent ways: a lattice
-search with window refinement over the whole constrained family, a
+script re-derives it numerically three independent ways: a search
+with window refinement along the boundary arcs of the constrained
+family (the information is convex, so its maximum lies there), a
 scan of the aligned-phase boundary confirming the two symmetric
 maximizers, and the first-order stationarity system solved in least
 squares.

@@ -135,7 +135,7 @@ COMMANDS = {
     ]),
     "optimize": ("compare the closed-form optimum against the grid search", cmd_optimize, [
         _P, _Q,
-        ("--grid", dict(type=int, default=201, help="lattice points per axis")),
+        ("--grid", dict(type=int, default=201, help="samples per boundary arc")),
         ("--refine", dict(type=int, default=6, help="refinement rounds")),
         ("--tol", dict(type=float, default=1e-6, help="allowed |closed - grid|")),
         ("--out", dict(default=None, help="optional CSV summary path")),

@@ -175,3 +175,41 @@ def test_acceptance_8_information_curves_output(tmp_path):
     _report(8, "curve data: eavesdropper curve below noiseless one at every "
                "grid point, shared-information column matches noiseless form",
             ok, elapsed, 1.0)
+
+
+def _oracle_crossing(p, tol=1e-9):
+    """Bisect ``i_ab(q) - grid_refine_maximize(p, q).best_value`` on crossing_point's bracket.
+
+    No closed form of Eve's information takes part: the brute-force
+    oracle stands in for it.  Returns the final bracket's midpoint.
+    """
+    def advantage(q):
+        return info.i_ab(q) - optimize.grid_refine_maximize(p, q).best_value
+
+    lo, hi = p / 2 + 1e-9, 0.5 - 1e-9
+    assert advantage(lo) > 0.0 > advantage(hi)
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if advantage(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_acceptance_9_threshold_from_the_oracle():
+    start = time.perf_counter()
+    tol = 1e-9
+    worst = 0.0
+    ok = True
+    for p in (0.0, 0.1, 0.3, 0.5):
+        q_cross = _oracle_crossing(p, tol)
+        worst = max(worst, abs(q_cross - analysis.crossing_point(p, tol).q_cross))
+        if p == 0.0:
+            ok &= abs(q_cross - 0.156373463) <= tol
+        else:
+            ok &= q_cross - (0.15637 * (1.0 - p) + p / 2) > 0.0
+    elapsed = time.perf_counter() - start
+    ok &= worst <= tol
+    _report(9, f"oracle threshold vs crossing_point max |dq|={worst:.2e} (tol {tol:g}), "
+               "Bruss anchor at p=0, positive margins", ok, elapsed, 10.0)

@@ -195,7 +195,7 @@ class TestOptimize:
         assert out.read_bytes() == (
             b"p,q,i_ae_closed,i_ae_grid,abs_diff,beta_sq_plus,beta_sq_minus,"
             b"i_ae_antiphase,lagrange_residual\n"
-            b"0.05,0.1,0.166603338,0.166603338,1.03883568e-12,0.702534955,"
+            b"0.05,0.1,0.166603338,0.166603338,1.11022302e-16,0.702534955,"
             b"0.297465045,0.0656320317,1.03107387e-15\n"
         )
 
