@@ -5,9 +5,9 @@ information-versus-error-rate curves at fixed noise (with the
 noiseless curves alongside for comparison), and the error-rate
 threshold where Bob's information stops exceeding Eve's, swept over
 the noise weight and compared with a straight-line baseline anchored
-at the noiseless threshold.  `verify_checks` runs the bundle of
-consistency checks of the optimal attack at one ``(p, q)`` point that
-``sixstate verify`` prints.
+at the noiseless threshold.  `verify_checks` (the attack's consistency
+checks) and `compare_optimum` (the closed-form optimum beside the grid
+search's) compute what ``sixstate verify`` and ``optimize`` print.
 """
 
 import dataclasses
@@ -15,12 +15,12 @@ import math
 
 import numpy as np
 
-from .attack import (build_ancillas, build_isometry, eve_distribution_closed_form,
-                     optimal_parameters, overlap_target, simulate)
+from .attack import (_overlap_target, build_ancillas, build_isometry,
+                     eve_distribution_closed_form, optimal_parameters, simulate)
 from .exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
 from .info import (_beta_sq, _i_ab, _i_ae_aligned, _i_ae_antiphase, _i_ae_optimal, _noise,
                    _optimum)
-from .optimize import lagrange_residual
+from .optimize import grid_refine_maximize, lagrange_residual
 from .protocol import _disturbance, _float, check_count, check_domain, check_range
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "curve_sweep",
     "crossing_point",
     "crossing_sweep",
+    "compare_optimum",
     "verify_checks",
 ]
 
@@ -315,6 +316,33 @@ def _crossings(ps, tol):
     return results
 
 
+def compare_optimum(p, q, grid=201, refine_iters=6):
+    """The closed-form optimum at (p, q) beside the grid search's.
+
+    Returns ``(values, result, degenerate)``: the eight values ``sixstate
+    optimize`` reports, by name and in its order, the search's
+    `OptimizationResult` and the degenerate flag of the Lagrange residual
+    of `optimal_parameters`.  The search validates (p, q), grid and
+    refine_iters first; the rest takes the validated pair it holds.
+    """
+    result = grid_refine_maximize(p, q, grid=grid, refine_iters=refine_iters)
+    p, q = result.best_params.p, result.best_params.q
+    lr = lagrange_residual(optimal_parameters(p, q))
+    noise = _noise(p)
+    plus, closed = (float(x) for x in _optimum(noise, q))
+    values = {
+        "i_ae_closed": closed,
+        "i_ae_grid": result.best_value,
+        "abs_diff": abs(closed - result.best_value),
+        "beta_sq_plus": plus,
+        "beta_sq_minus": float(_beta_sq(noise, q, -1.0)),
+        "grid_beta_a_sq": result.best_params.beta_a_sq,
+        "i_ae_antiphase": float(_i_ae_antiphase(noise, q)),
+        "lagrange_residual": lr.residual_norm,
+    }
+    return values, result, lr.degenerate
+
+
 def verify_checks(p, q):
     """Check the optimal attack at (p, q) against the simulation and the optimum.
 
@@ -347,7 +375,7 @@ def verify_checks(p, q):
     params = optimal_parameters(p, q)
     p, q = params.p, params.q
     iso = build_isometry(_disturbance(q, p), build_ancillas(params))
-    residual = abs(params.overlap - overlap_target(p, q))
+    residual = abs(params.overlap - _overlap_target(p, q))
     closed = eve_distribution_closed_form(params)
     sim, flips = simulate(iso, p)
     dist_err = float(max(abs(closed - sim)))

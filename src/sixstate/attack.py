@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .exceptions import ConstraintError, DomainError
-from .info import _noise, _root, _weights
+from .info import _mix, _noise, _root, _scales
 from .protocol import _float, check_domain, check_range
 
 __all__ = [
@@ -158,6 +158,11 @@ def overlap_target(p, q):
     coincide, so Eve learns nothing) and 0 at q = 1/2.
     """
     p, q = check_domain(p, q)
+    return _overlap_target(p, q)
+
+
+def _overlap_target(p, q):
+    """`overlap_target` of a validated pair; checks nothing."""
     return 2.0 * (1.0 - 2.0 * q) / (2.0 - p - 2.0 * q)
 
 
@@ -196,7 +201,7 @@ def optimal_parameters(p, q):
     weight itself rounds to 1.
     """
     p, q = check_domain(p, q)
-    theta = 0.5 * math.atan2(overlap_target(p, q), float(_root(_noise(p), q)))
+    theta = 0.5 * math.atan2(_overlap_target(p, q), float(_root(_noise(p), q)))
     big, small = math.cos(theta), math.sin(theta)
     return AttackParameters(
         p=p,
@@ -282,18 +287,12 @@ def eve_distribution_closed_form(params):
     |01>, |11> when Alice sent bit 0; entries 4-7 the same for bit 1.
     Each quadruple sums to 1.  The kept-signal weight is taken as
     ``1 - d``, the weight the simulated isometry keeps with amplitude
-    ``sqrt(1 - d)``: the ``(p, q)`` form of `_weights` cancels as p -> 1.
+    ``sqrt(1 - d)``: the ``(p, q)`` form of `_scales` cancels as p -> 1.
     """
-    d, _, (beta0, beta1), (gamma0, gamma1) = _weights(
-        params.p,
-        params.q,
-        params.r_beta_a ** 2,
-        params.r_beta_c ** 2,
-        params.r_gamma_a ** 2,
-        params.r_gamma_c ** 2,
-    )
+    half, d, _ = _scales(params.p, params.q)
+    beta0, beta1 = _mix(half, params.r_beta_a ** 2, params.r_beta_c ** 2)
+    gamma0, gamma1 = _mix(half, params.r_gamma_a ** 2, params.r_gamma_c ** 2)
     pref = 1.0 - d
-    half = params.p / 2.0
     m = np.array(
         [
             (1.0 - half) * d,

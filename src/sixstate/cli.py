@@ -3,13 +3,14 @@
 Four subcommands: ``curves`` and ``crossing`` emit CSV data for the
 two standard plots, ``optimize`` cross-checks the closed-form optimum
 against the brute-force grid search, and ``verify`` prints the bundle of
-consistency checks of `sixstate.analysis.verify_checks` at one
-parameter point, one PASS/FAIL line per check.  `COMMANDS` declares each
-subcommand once: its help, its handler and its options.  A subcommand
-call is parsed by that subcommand's own parser, because building the
-parsers of all four would cost more than a ``verify`` does.  The full
-tree is built only for top-level help, usage and errors, so those read
-the same as they would from one parser holding every subcommand.
+consistency checks at one parameter point, one PASS/FAIL line per check.
+``optimize`` and ``verify`` only format what one `sixstate.analysis`
+call returns.  `COMMANDS` declares each subcommand once: its help, its
+handler and its options.  A subcommand call is parsed by that
+subcommand's own parser, because building the parsers of all four would
+cost more than a ``verify`` does.  The full tree is built only for
+top-level help, usage and errors, so those read the same as they would
+from one parser holding every subcommand.
 
 Data goes to stdout or the ``--out`` file; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments or
@@ -23,7 +24,7 @@ import math
 import operator
 import sys
 
-from . import analysis, attack, info, optimize, protocol
+from . import analysis, protocol
 from .exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
 
 CURVES_HEADER = "q,i_ab,i_ae_opt,i_ae_alt,i_ab_pure,i_ae_pure,beta_sq"
@@ -72,30 +73,15 @@ def cmd_crossing(args):
 
 
 def cmd_optimize(args):
-    p, q = args.p, args.q
     tol = protocol.check_range(args.tol, 0.0, math.inf, "tol")
-    closed = info.i_ae_optimal(p, q)
-    result = optimize.grid_refine_maximize(p, q, grid=args.grid, refine_iters=args.refine)
-    lr = optimize.lagrange_residual(attack.optimal_parameters(p, q))
-    values = {
-        "p": p,
-        "q": q,
-        "i_ae_closed": closed,
-        "i_ae_grid": result.best_value,
-        "abs_diff": abs(closed - result.best_value),
-        "beta_sq_plus": info.beta_sq_optimal(p, q, "plus"),
-        "beta_sq_minus": info.beta_sq_optimal(p, q, "minus"),
-        "grid_beta_a_sq": result.best_params.beta_a_sq,
-        "i_ae_antiphase": info.i_ae_antiphase(p, q),
-        "lagrange_residual": lr.residual_norm,
-    }
-    report = [f"{name} = {_fmt(x)}" for name, x in list(values.items())[2:]]
-    if lr.degenerate:
+    values, result, degenerate = analysis.compare_optimum(args.p, args.q, args.grid, args.refine)
+    report = [f"{name} = {_fmt(x)}" for name, x in values.items()]
+    if degenerate:
         report[-1] += " (degenerate point)"
     report += [f"branch = {result.branch}", f"evaluations = {result.evaluations}"]
     _write_lines(None, report)
     if args.out is not None:
-        row = operator.itemgetter(*OPTIMIZE_HEADER.split(","))(values)
+        row = operator.itemgetter(*OPTIMIZE_HEADER.split(","))(dict(p=args.p, q=args.q, **values))
         _write_lines(args.out, _csv(OPTIMIZE_HEADER, [row]))
     diff = values["abs_diff"]
     if diff > tol:

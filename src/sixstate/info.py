@@ -4,11 +4,11 @@ All logarithms are base 2 and ``0 log 0`` is taken to be 0.  Throughout,
 p is the white-noise weight of the source and q is Bob's observed error
 rate; the physical domain is ``0 <= p < 1`` and ``p/2 <= q <= 1/2``.
 
-Eve's outcome weights are written once, in `_scales` and `_mix`, which
-`_weights` combines.  Her information has two kernels, written apart:
-`_i_ae` for any four squared probe weights, which the grid search of
-`sixstate.optimize` maximizes, and `_i_ae_aligned`, the paper's closed
-form on the aligned-phase branch, behind `i_ae_optimal`, the sweeps of
+Eve's outcome weights are written once, in `_scales` and `_mix`.  Her
+information has two kernels, written apart: `_i_ae` for any four
+squared probe weights, which the grid search of `sixstate.optimize`
+maximizes, and `_i_ae_aligned`, the paper's closed form on the
+aligned-phase branch, behind `i_ae_optimal`, the sweeps of
 `sixstate.analysis` and its "branch symmetry" check.  At aligned
 weights the two agree to round-off (within 2e-15 on a 96 by 2,001
 domain lattice in tests/test_info.py), so the grid search's agreement
@@ -103,24 +103,12 @@ def _mix(half, a, c):
     return (1.0 - half) * a + half * c, half * a + (1.0 - half) * c
 
 
-def _weights(p, q, ba, bc, ga, gc):
-    """Eve's outcome weights for squared probe weights; broadcasts, checks nothing.
-
-    Returns ``(d, pref, beta, gamma)``: the flip probability d, the
-    kept-signal weight ``pref = 1 - d``, and for each of the beta and
-    gamma pairs the two weights ``((1 - p/2) a + (p/2) c,
-    (p/2) a + (1 - p/2) c)`` given Alice's bit 0 and bit 1.
-    """
-    half, d, pref = _scales(p, q)
-    return d, pref, _mix(half, ba, bc), _mix(half, ga, gc)
-
-
 def _i_ae(p, q, ba, bc, ga, gc):
     """Eve's information for squared probe weights; broadcasts, checks nothing.
 
-    ``1 + (pref / 2) (_tau(*beta) + _tau(*gamma)) + d _tau(1 - p/2, p/2)`` over
-    the weights of `_weights`.  The four weights share one shape, into
-    which p and q broadcast; on arrays the result is built in that shape.
+    ``1 + (pref / 2) (_tau(*beta) + _tau(*gamma)) + d _tau(1 - p/2, p/2)`` at d and pref
+    of `_scales` and the `_mix` pairs beta of (ba, bc), gamma of (ga, gc).  The four
+    weights share one shape, into which p and q broadcast, and so does the result.
     """
     half, d, pref = _scales(p, q)
     s = _tau(*_mix(half, ba, bc))

@@ -22,9 +22,9 @@ import math
 
 import numpy as np
 
-from .attack import AttackParameters, overlap_target, parameters_from_squares
+from .attack import AttackParameters, _overlap_target, overlap_target, parameters_from_squares
 from .exceptions import ConstraintError, DomainError
-from .info import _i_ae, _weights, beta_sq_optimal
+from .info import _i_ae, _mix, _scales, beta_sq_optimal
 from .protocol import check_count, check_domain, check_range
 
 __all__ = [
@@ -189,7 +189,7 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     p, q = check_domain(p, q)
     grid = check_count(grid, 51, _MAX_GRID, "grid")
     refine_iters = check_count(refine_iters, 0, _MAX_REFINE, "refine_iters")
-    t = overlap_target(p, q)
+    t = _overlap_target(p, q)
     theta = math.acos(min(t, 1.0))
 
     best = (float(_objective(p, q, 0.0, 0.0)), 0.0, 0.0)
@@ -245,7 +245,7 @@ def lagrange_residual(params):
     rba, rga = params.r_beta_a, params.r_gamma_a
     rbc, rgc = params.r_beta_c, params.r_gamma_c
     cos = params.cos_delta_phi
-    g1 = params.overlap - overlap_target(p, q)
+    g1 = params.overlap - _overlap_target(p, q)
     if abs(g1) > 1e-8:
         raise ConstraintError(f"overlap condition violated by {g1}")
 
@@ -254,10 +254,9 @@ def lagrange_residual(params):
         # stationarity holds trivially and the fit is meaningless.
         return LagrangeResidual(0.0, degenerate=True)
 
-    half = p / 2.0
-    _, pref, beta, gamma = _weights(p, q, rba ** 2, rbc ** 2, rga ** 2, rgc ** 2)
-    m2, m6 = pref * beta[0], pref * beta[1]
-    m3, m7 = pref * gamma[0], pref * gamma[1]
+    half, _, pref = _scales(p, q)
+    m2, m6 = (pref * w for w in _mix(half, rba ** 2, rbc ** 2))
+    m3, m7 = (pref * w for w in _mix(half, rga ** 2, rgc ** 2))
 
     def rhs_entry(r, m_top, m_bot, w_top, w_bot):
         if r == 0.0:
@@ -315,7 +314,7 @@ def phase_branch_scan(p, q, cos_sign, samples=2001):
     if cos_sign not in (1, -1, 1.0, -1.0):
         raise DomainError(f"cos_sign must be +1 or -1, got {cos_sign!r}")
     samples = check_count(samples, 2, _MAX_SAMPLES, "samples")
-    theta = math.acos(min(overlap_target(p, q), 1.0))
+    theta = math.acos(min(_overlap_target(p, q), 1.0))
     end = math.pi / 2.0 - theta if cos_sign > 0 else theta
     ba, bc = _arc(theta, cos_sign, np.linspace(0.0, end, samples))
     return ba, bc, _objective(p, q, ba, bc)

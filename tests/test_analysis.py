@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import sixstate
-from sixstate import analysis, info, optimize
+from sixstate import analysis, attack, info, optimize
 from sixstate.analysis import (
     PURE_CROSSING_D,
     CrossingResult,
@@ -17,6 +18,8 @@ from sixstate.analysis import (
     curve_sweep,
 )
 from sixstate.exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
+
+from test_optimize import _mesh_points
 
 
 def test_baseline_constant():
@@ -398,8 +401,8 @@ def _set_check_value(m, name, v):
     dropped its abs() would pass where it must fail.
     """
     if name == "constraints":
-        real_target = analysis.overlap_target
-        m.setattr(analysis, "overlap_target", lambda p, q: real_target(p, q) + v)
+        real_target = analysis._overlap_target
+        m.setattr(analysis, "_overlap_target", lambda p, q: real_target(p, q) + v)
     elif name in ("outcome distribution", "error rate all bases", "bob symmetry"):
         real_simulate = analysis.simulate
         eve_shift = v if name == "outcome distribution" else 0.0
@@ -433,3 +436,44 @@ def test_verify_check_bound_pinned(name, monkeypatch):
             checks, _ = analysis.verify_checks(0.05, 0.15)
         assert [n for n, _, _ in checks] == list(_VERIFY_BOUNDS)
         assert {n: ok for n, ok, _ in checks} == {n: n != name or expected for n in _VERIFY_BOUNDS}
+
+
+def _compare_optimum_reference(p, q, grid, refine_iters):
+    """`compare_optimum` as the composition of public calls it replaced."""
+    closed = info.i_ae_optimal(p, q)
+    result = optimize.grid_refine_maximize(p, q, grid=grid, refine_iters=refine_iters)
+    lr = optimize.lagrange_residual(attack.optimal_parameters(p, q))
+    values = {
+        "i_ae_closed": closed,
+        "i_ae_grid": result.best_value,
+        "abs_diff": abs(closed - result.best_value),
+        "beta_sq_plus": info.beta_sq_optimal(p, q, "plus"),
+        "beta_sq_minus": info.beta_sq_optimal(p, q, "minus"),
+        "grid_beta_a_sq": result.best_params.beta_a_sq,
+        "i_ae_antiphase": info.i_ae_antiphase(p, q),
+        "lagrange_residual": lr.residual_norm,
+    }
+    return values, result, lr.degenerate
+
+
+def _compare_points():
+    rng = np.random.default_rng(32)
+    p = rng.uniform(0.0, 0.999, 200)
+    return _mesh_points() + list(zip(p.tolist(), rng.uniform(p / 2.0, 0.5).tolist()))
+
+
+@pytest.mark.parametrize("grid, refine_iters", [(201, 6), (51, 0)])
+def test_compare_optimum_matches_public_calls(grid, refine_iters):
+    # repr tells -0.0 from 0.0 and a numpy scalar from a float, so the
+    # values, the search result and the flag must agree bit for bit
+    for p, q in _compare_points():
+        got = analysis.compare_optimum(p, q, grid, refine_iters)
+        assert repr(got) == repr(_compare_optimum_reference(p, q, grid, refine_iters)), (p, q)
+
+
+@pytest.mark.parametrize("p, q", [(0.05, 0.01), (1.0, 0.5), (0.05, "0.1"), (0.05, math.nan)])
+def test_compare_optimum_refuses_what_the_public_calls_refuse(p, q):
+    with pytest.raises(DomainError) as want:
+        info.i_ae_optimal(p, q)
+    with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+        analysis.compare_optimum(p, q)

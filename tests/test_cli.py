@@ -6,6 +6,7 @@ import dataclasses
 import math
 import pathlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -219,16 +220,34 @@ class TestOptimize:
             assert ("mismatch" in capsys.readouterr().err) == (code == 4)
 
     def test_validators_called_at_most(self, monkeypatch):
-        # each library call cmd_optimize makes validates the same (p, q)
-        # again; these ceilings are today's counts, which may only fall
+        # (p, q) is validated first by the grid search; the rest are --tol,
+        # grid and refine_iters, optimal_parameters, and the AttackParameters
+        # of the search's result and of optimal_parameters
         calls = _count_validator_calls(monkeypatch, ["optimize", "--p", "0.05", "--q", "0.15"])
-        assert calls["check_domain"] <= 11
-        assert calls["check_range"] <= 17
-        assert calls["_float"] <= 38
+        assert calls["check_domain"] <= 4
+        assert calls["check_range"] <= 10
+        assert calls["_float"] <= 24
 
     def test_invalid_point_exit_code(self, capsys):
         assert cli.main(["optimize", "--p", "0.05", "--q", "0.01"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_csv_echoes_the_pair_as_given(self, tmp_path):
+        # q is clamped to p/2 = 0 for the computation, not in the row
+        out = tmp_path / "opt.csv"
+        assert cli.main(["optimize", "--p", "0", "--q=-1e-13", "--grid", "51",
+                         "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("0,-1e-13,")
+
+    def test_options_checked_before_any_computation(self, capsys):
+        # at p = 1 - 2**-53 and q = 1/2 the closed forms divide by zero, which
+        # warns, and the overlap target raises ZeroDivisionError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["optimize", "--p", "0.9999999999999999", "--q", "0.5",
+                             "--refine", "31"])
+        assert code == 2
+        assert "refine_iters=31.0 outside [0, 30]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "option", [["--refine", "31"], ["--tol", "nan"], ["--tol", "-1"]],
@@ -281,12 +300,12 @@ class TestVerify:
             cli.main(["verify", "--p", "0.05", "--q", "0.15"])
 
     def test_validators_called_few_times(self, monkeypatch):
-        # (p, q) is validated first by optimal_parameters; the rest are the
-        # checks of the public attack functions verify_checks builds on
+        # (p, q) is validated first by optimal_parameters; the rest are its
+        # AttackParameters and the checks of build_isometry and simulate
         calls = _count_validator_calls(monkeypatch, ["verify", "--p", "0.05", "--q", "0.15"])
-        assert calls["check_domain"] <= 6
-        assert calls["check_range"] <= 7
-        assert calls["_float"] <= 18
+        assert calls["check_domain"] <= 3
+        assert calls["check_range"] <= 4
+        assert calls["_float"] <= 12
 
     def test_one_simulation_per_run(self, monkeypatch):
         # one joint-state tensor serves all three bases, and the isometry
