@@ -256,9 +256,9 @@ def _crossings(ps, tol):
     next step would stop costs no call after round one.  The kernel takes
     the live rows' noise terms (`sixstate.info._noise`), formed once per
     chunk and again only when rows retire, for the rows still live; so
-    each round runs only the passes that depend on q.  The terms of one
-    live row (a one-point sweep, `crossing_point`, or the one row of a
-    chunk still bisecting) are Python floats; more rows take a column.
+    each round runs only the passes that depend on q.  A lone live row's
+    p (a one-point sweep, `crossing_point`, or the one row of a chunk
+    still bisecting) is a Python float; more rows take a column.
 
     Round one takes every row, and its call also evaluates both bracket
     ends: the 33 signs certify one crossing, and each later round checks

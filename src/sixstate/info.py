@@ -27,17 +27,9 @@ round.  Within one call q - p/2 and 1 - p/2 - q are formed once, for
 the root and the closed form both.  The grid's `_i_ae` takes p itself
 and is untouched by this.
 
-On arrays the closed forms and `_i_ab` are computed in place: each
-creates one fresh result and applies the remaining steps to it.
-Scalars (Python or numpy floats, and what 0-d arrays turn into) take
-the plain expressions, since an ``out=`` call on a scalar costs several
-times the arithmetic.  Every step is the same operation on the same
-operands as the plain expression but one: where an `_xlog2` term is
-built in a given array the zero guard is ``max(x, 5e-324)``, not ``x +
-(x == 0)``, so a zero term is ``-0.0``, not ``0.0``.  Every sum it
-enters absorbs it, so the results are bit-identical to the plain
-expressions'.  No kernel writes into its arguments, only into its own
-fresh arrays.  `_i_ae` takes the plain expressions on arrays too.
+Each kernel is one code path for floats and arrays: it forms a fresh
+result and applies later steps by augmented assignment, in place on an
+array and rebinding a scalar, and never writes into p, q or the weights.
 
 The closed forms in this module have two independent cross-checks
 elsewhere in the package: `mutual_information` applied to the joint
@@ -62,21 +54,14 @@ __all__ = [
 _NEG_TOL = 1e-12
 
 
-def _xlog2(x, out=None):
-    """x log2 x with the 0 log 0 = 0 convention, over arrays or scalars.
+def _xlog2(x):
+    """x log2 x with the 0 log 0 = 0 convention; broadcasts, checks nothing.
 
-    Given out, an array of x's shape, the result is built there; zero
-    is then guarded in one pass as ``max(x, 5e-324)``, the smallest
-    positive double, which leaves every positive x as it is and makes a
-    zero term ``-0.0``.
+    An array guards zero in one pass as ``max(x, 5e-324)``, which makes a
+    zero term ``-0.0``; a scalar takes ``x + (x == 0)`` and gives ``0.0``.
+    Every sum a zero term enters absorbs its sign.
     """
-    if out is None:
-        z = x + (x == 0.0)
-        if not isinstance(z, np.ndarray):
-            return x * np.log2(z)
-    else:
-        z = np.maximum(x, 5e-324, out=out)
-    np.log2(z, out=z)
+    z = np.log2(np.maximum(x, 5e-324) if isinstance(x, np.ndarray) else x + (x == 0.0))
     z *= x
     return z
 
@@ -172,12 +157,9 @@ def mutual_information(joint):
 
 def _i_ab(q):
     """``1 + q log2 q + (1 - q) log2 (1 - q)``; broadcasts, checks nothing."""
-    if not isinstance(q, np.ndarray) or not q.ndim:
-        return 1.0 + _xlog2(q) + _xlog2(1.0 - q)
-    s = _xlog2(q, np.empty(q.shape))
+    s = _xlog2(q)
     s += 1.0
-    r = 1.0 - q
-    s += _xlog2(r, np.empty_like(r))
+    s += _xlog2(1.0 - q)
     return s
 
 
@@ -197,16 +179,12 @@ def _noise(p):
     Returns ``(p, p/2, 1 - p/2, 1 - p, h, 1 + h)`` with ``h = (p/2) log2
     (p/2) + (1 - p/2) log2 (1 - p/2)``; in ``1 + h`` the two terms are
     added to 1 in turn.  p is a float or an array, such as a column of p
-    against rows of q; the terms then have its shape.  The h terms of a
-    scalar p are Python floats.  Broadcasts, checks nothing.
+    against rows of q, whose shape the terms take; checks nothing.
     """
     half = p / 2.0
     rest = 1.0 - half
     a, b = _xlog2(half), _xlog2(rest)
-    h, h1 = a + b, 1.0 + a + b
-    if not isinstance(h, np.ndarray):
-        h, h1 = float(h), float(h1)
-    return p, half, rest, 1.0 - p, h, h1
+    return p, half, rest, 1.0 - p, a + b, 1.0 + a + b
 
 
 def _spans(noise, q):
@@ -270,9 +248,8 @@ def _i_ae_aligned(noise, q, beta_sq, spans=None):
     dq, left = _spans(noise, q) if spans is None else spans
     x = kept * beta_sq
     x += half
-    out = (np.empty_like(x), x) if isinstance(x, np.ndarray) else (None, None)
-    s = _xlog2(x, out[0])
-    s += _xlog2(1.0 - x, out[1])
+    s = _xlog2(x)
+    s += _xlog2(1.0 - x)
     left /= kept
     s *= left
     s += 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import sixstate
-from sixstate import analysis, attack, info, optimize
+from sixstate import analysis, attack, info, optimize, protocol
 from sixstate.analysis import (
     PURE_CROSSING_D,
     CrossingResult,
@@ -477,3 +478,22 @@ def test_compare_optimum_refuses_what_the_public_calls_refuse(p, q):
         info.i_ae_optimal(p, q)
     with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
         analysis.compare_optimum(p, q)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.5])
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+def test_public_results_are_python_floats(p, t):
+    # q runs from p/2 (t = 0) through the interior to 1/2 (t = 1)
+    q = p / 2.0 + t * (0.5 - p / 2.0)
+    values, result, _ = analysis.compare_optimum(p, q, grid=51, refine_iters=2)
+    got = [
+        info.i_ab(q), info.i_ae_optimal(p, q), info.i_ae_antiphase(p, q),
+        info.beta_sq_optimal(p, q), info.beta_sq_optimal(p, q, "minus"),
+        attack.overlap_target(p, q), protocol.d_from_qber(q, p),
+        *values.values(), result.best_value, analysis.verify_checks(p, q)[1],
+    ]
+    for row in curve_sweep(p, 3):
+        got += dataclasses.astuple(row)
+    for row in (crossing_point(p), *crossing_sweep(0.0, 0.5, 3)):
+        got += [row.p, row.q_cross, row.q_line, row.margin]
+    assert [type(v) for v in got] == [float] * len(got)

@@ -38,8 +38,8 @@ def i_ae_of(params):
     )
 
 
-# The kernels as plain expressions: the reference the in-place kernels of
-# sixstate.info must match bit for bit.
+# The kernels as plain expressions: the reference the augmented steps of
+# sixstate.info must match bit for bit, bar _xlog2's zero term on an array.
 def _xlog2_reference(x):
     return x * np.log2(x + (x == 0.0))
 
@@ -136,15 +136,13 @@ def _zero_noise_edges():
     return 0.0, 0.3, ba, bc, ga, gc
 
 
+# scalars only: an array's zero term is tested apart, in _XLOG2_ZEROS
 _XS = {
-    "zeros_and_ones": (np.array([0.0, 1.0, 0.0, 0.5, 1e-300, 1.0 - 1e-16]),),
     "python_float": (0.3,),
     "python_zero": (0.0,),
     "float64": (np.float64(0.7),),
     "float64_zero": (np.float64(0.0),),
     "0d_array": (np.array(0.2),),
-    "0d_zero": (np.array(0.0),),
-    "crossing_shape": (_crossing_shape()[1],),
 }
 _TAUS = {
     "zeros_and_ones": (np.array([0.0, 1.0, 0.5, 0.0]), np.array([1.0, 0.0, 0.5, 0.0])),
@@ -219,16 +217,30 @@ def test_kernel_bit_identical_to_reference(kernel, reference, args):
         assert got.tobytes() == want.tobytes()
     else:
         assert repr(got) == repr(want)
-    # The in-place steps write only into the kernel's own fresh results.
+    # No kernel writes into its arguments.
     for a, b in zip(args, before):
         assert np.array(a).tobytes() == b.tobytes()
 
 
-def test_xlog2_out_guards_zero_with_the_same_values():
-    x = np.array([0.0, 1.0, 0.5, 5e-324, 1e-310, 1e-300, 1.0 - 1e-16, 0.0, 3.0])
-    got, want = _xlog2(x, np.full_like(x, np.nan)), _xlog2(x)
-    # a zero term may be -0.0 on the out path; every other term keeps its bits
-    assert (got == want).all() and got[x != 0.0].tobytes() == want[x != 0.0].tobytes()
+_XLOG2_ZEROS = {
+    "zeros_and_ones": np.array([0.0, 1.0, 0.0, 0.5, 1e-300, 1.0 - 1e-16]),
+    "0d_zero": np.array(0.0),
+    "crossing_shape": _crossing_shape()[1],
+    "subnormals": np.array([0.0, 1.0, 0.5, 5e-324, 1e-310, 1e-300, 1.0 - 1e-16, 0.0, 3.0]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", _XLOG2_ZEROS.values(), ids=_XLOG2_ZEROS)
+def test_xlog2_array_zero_is_negative_zero(x):
+    # an array guards zero as max(x, 5e-324), so a zero term is -0.0 where
+    # the plain reference gives 0.0; every other term keeps its bits
+    got, want = _xlog2(x), _xlog2_reference(x)
+    assert type(got) is type(want)
+    got, want, zero = np.asarray(got), np.asarray(want), x == 0.0
+    assert (got == want).all()
+    assert got[~zero].tobytes() == want[~zero].tobytes()
+    assert zero.any() and np.signbit(got[zero]).all()
 
 
 class TestTau:
