@@ -39,9 +39,9 @@ __all__ = [
 
 # Absolute slack when testing whether a weight pair admits a phase.
 _FEAS_SLACK = 1e-12
-# Most samples per boundary arc.  grid_refine_maximize holds a few arrays
-# of grid floats per round, so its memory is linear in grid: at 2001 its
-# tracemalloc peak is ~0.2 MB.
+# Most samples per boundary arc.  grid_refine_maximize samples both arcs
+# in one block per round and holds a few arrays of 2 x grid floats, so its
+# memory is linear in grid: at 2001 its tracemalloc peak is ~0.4 MB.
 _MAX_GRID = 2001
 # Most refinement rounds.  Each costs one sweep of each arc; on 20 random
 # (p, q) at grid 201, no result changed after round 13.
@@ -142,12 +142,12 @@ def _arc(theta, cos_sign, base):
     ``theta = acos t`` the +1 arc ``pb + pg = t`` is ``alpha = chi +
     theta``, at offsets chi in [0, pi/2 - theta]; its mirror arc has the
     two angles exchanged.  The -1 arc ``pb - pg = t`` is ``alpha + chi =
-    theta``, at offsets alpha in [0, theta].
+    theta``, at offsets alpha in [0, theta].  cos_sign broadcasts against
+    base: a column of signs gives one arc per row of base, each bit for
+    bit as if sampled alone.
     """
-    if cos_sign > 0:
-        alpha, chi = base + theta, base
-    else:
-        alpha, chi = base, theta - base
+    alpha = base + theta * (cos_sign > 0)
+    chi = theta * (cos_sign < 0) + cos_sign * base
     return np.cos(alpha) ** 2, np.cos(chi) ** 2
 
 
@@ -167,10 +167,14 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     The +1 and -1 arcs are each sampled at grid evenly spaced offsets,
     ends included, then refine_iters times more in a window a tenth as
     wide around the arc's best sample so far, clipped to the arc; the
-    corner is evaluated once.  The mirror arc carries the +1 arc's values
-    bit for bit, since every product and sum of the objective commutes.
-    Ties go to the earliest sample of the earliest round, and to the +1
-    arc, then the -1 arc, then the corner.  Of the best point's two
+    corner is evaluated once.  Each round evaluates both arcs in one
+    kernel call on a (2, grid) block, the -1 arc in row 0 and the +1 arc
+    in row 1; each row keeps its own best sample and window, with the
+    values of a search of that arc alone.  The mirror arc carries the +1
+    arc's values bit for bit, since every product and sum of the
+    objective commutes.  Within a row, ties go to the earliest sample of
+    the earliest round; between the rows' bests and the corner, to the
+    +1 arc, then the -1 arc, then the corner.  Of the best point's two
     mirror twins, the one with the larger beta_a_sq is reported.
 
     Parameters
@@ -193,18 +197,23 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     theta = math.acos(min(t, 1.0))
 
     best = (float(_objective(p, q, 0.0, 0.0)), 0.0, 0.0)
-    for cos_sign, end in ((-1, theta), (1, math.pi / 2.0 - theta)):
-        lo, hi = 0.0, end
-        arc = None
-        for _ in range(refine_iters + 1):
-            base = np.linspace(lo, hi, grid)
-            ba, bc = _arc(theta, cos_sign, base)
-            vals = _objective(p, q, ba, bc)
-            k = int(vals.argmax())
-            if arc is None or vals[k] > arc[0]:
-                arc, mid = (float(vals[k]), float(ba[k]), float(bc[k])), float(base[k])
+    ends = (theta, math.pi / 2.0 - theta)
+    wins, arcs, mids = [(0.0, end) for end in ends], [None, None], [0.0, 0.0]
+    signs = np.array([[-1.0], [1.0]])
+    for _ in range(refine_iters + 1):
+        # one linspace per row: with array ends numpy changes the formula
+        # of both rows as soon as either window spans zero
+        base = np.array([np.linspace(lo, hi, grid) for lo, hi in wins])
+        ba, bc = _arc(theta, signs, base)
+        vals = _objective(p, q, ba, bc)
+        for i, k in enumerate(vals.argmax(axis=1).tolist()):
+            if arcs[i] is None or vals[i, k] > arcs[i][0]:
+                arcs[i] = float(vals[i, k]), float(ba[i, k]), float(bc[i, k])
+                mids[i] = float(base[i, k])
+            lo, hi = wins[i]
             span = (hi - lo) / 10.0
-            lo, hi = max(0.0, mid - span / 2.0), min(end, mid + span / 2.0)
+            wins[i] = max(0.0, mids[i] - span / 2.0), min(ends[i], mids[i] + span / 2.0)
+    for arc in arcs:
         if arc[0] >= best[0]:
             best = arc
 

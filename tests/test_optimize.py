@@ -15,6 +15,7 @@ from sixstate.optimize import (
     phase_branch_scan,
     verify_root_pair,
 )
+from sixstate.protocol import check_domain
 
 from test_info import _i_ae_reference
 
@@ -95,18 +96,18 @@ class TestGridRefineMaximize:
     )
     def test_identical_through_reference_kernel(self, monkeypatch, p, q):
         result = repr(grid_refine_maximize(p, q))
-        sizes = []
+        shapes = []
 
         def reference(p, q, ba, bc, ga, gc):
             if isinstance(ba, np.ndarray):
-                sizes.append(ba.size)
+                shapes.append(ba.shape)
             return _i_ae_reference(p, q, ba, bc, ga, gc)
 
         monkeypatch.setattr(optimize, "_i_ae", reference)
         assert repr(grid_refine_maximize(p, q)) == result
-        # Every round of both arcs reaches the kernel through this binding,
-        # in one array call each; the corner passes scalars.
-        assert sizes == [201] * 2 * 7
+        # Every round reaches the kernel through this binding, in one array
+        # call on both arcs' samples; the corner passes scalars.
+        assert shapes == [(2, 201)] * 7
 
     # at 0.49999 the +1 arc's best sample lies near its end, and the -1
     # arc's best samples lie at its ends, so windows reach past them
@@ -121,16 +122,18 @@ class TestGridRefineMaximize:
         monkeypatch.setattr(optimize, "_i_ae", recording)
         grid_refine_maximize(p, q, grid=51, refine_iters=4)
         t = min(attack.overlap_target(p, q), 1.0)
-        # the corner, then the -1 arc's rounds, then the +1 arc's.  Near an
-        # arc's end a weight is close to 1 and 1 - weight keeps few digits:
-        # the products stray by up to 2.2e-10 in the last round.  A sample
-        # past an end lies on the other arc, ~1e-5 or more away.
+        # the corner, then one call per round: the -1 arc in row 0, the +1
+        # arc in row 1.  Near an arc's end a weight is close to 1 and
+        # 1 - weight keeps few digits: the products stray by up to 2.2e-10
+        # in the last round.  A sample past an end lies on the other arc,
+        # ~1e-5 or more away.
         assert calls[0] == (0.0, 0.0)
         for k, (ba, bc) in enumerate(calls[1:]):
+            assert ba.shape == bc.shape == (2, 51), k
             pb, pg = optimize._products(ba, bc)
-            on_arc = pb - pg if k < 5 else pb + pg
-            assert np.max(np.abs(on_arc - t)) < 1e-8, (k, p, q)
-        assert len(calls) == 11
+            assert np.max(np.abs(pb[0] - pg[0] - t)) < 1e-8, (k, p, q)
+            assert np.max(np.abs(pb[1] + pg[1] - t)) < 1e-8, (k, p, q)
+        assert len(calls) == 6
 
 
 class TestLagrangeResidual:
@@ -382,6 +385,43 @@ def _grid_refine_mesh(p, q, grid=201, refine_iters=6):
     return best_j
 
 
+def _grid_refine_per_arc(p, q, grid=201, refine_iters=6):
+    """`grid_refine_maximize` with one kernel call per round and arc.
+
+    Each arc is searched alone, its samples written as the plain angle
+    expressions of `optimize._arc`; the block search must match it bit
+    for bit.
+    """
+    p, q = check_domain(p, q)
+    t = attack.overlap_target(p, q)
+    theta = math.acos(min(t, 1.0))
+    best = (float(optimize._objective(p, q, 0.0, 0.0)), 0.0, 0.0)
+    for cos_sign, end in ((-1, theta), (1, math.pi / 2.0 - theta)):
+        lo, hi = 0.0, end
+        arc = None
+        for _ in range(refine_iters + 1):
+            base = np.linspace(lo, hi, grid)
+            alpha, chi = (base + theta, base) if cos_sign > 0 else (base, theta - base)
+            ba, bc = np.cos(alpha) ** 2, np.cos(chi) ** 2
+            vals = optimize._objective(p, q, ba, bc)
+            k = int(vals.argmax())
+            if arc is None or vals[k] > arc[0]:
+                arc, mid = (float(vals[k]), float(ba[k]), float(bc[k])), float(base[k])
+            span = (hi - lo) / 10.0
+            lo, hi = max(0.0, mid - span / 2.0), min(end, mid + span / 2.0)
+        if arc[0] >= best[0]:
+            best = arc
+    value, ba, bc = best
+    ba, bc = max(ba, bc), min(ba, bc)
+    cos = optimize._phase_cos(t, *optimize._products(ba, bc))
+    return optimize.OptimizationResult(
+        best_params=attack.parameters_from_squares(p, q, ba, bc, cos),
+        best_value=value,
+        branch="phase0" if cos >= 0.0 else "phasepi",
+        evaluations=2 * (refine_iters + 1) * grid + 1,
+    )
+
+
 def _phase_branch_scan_reference(p, q, cos_sign, samples):
     """`optimize.phase_branch_scan`'s arcs as plain expressions, checks aside."""
     t = attack.overlap_target(p, q)
@@ -446,10 +486,25 @@ class TestArrayGeometry:
             if p <= 0.95:
                 assert got <= opt + _ABOVE_CLOSED, (p, q)
 
+    # q = p/2 gives the -1 arc a zero-width window and q = 1/2 the +1 arc,
+    # where numpy's linspace takes another formula; each row must keep
+    # the bits it has when sampled alone.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid,refine_iters", [(51, 0), (77, 3), (201, 6), (2001, 2), (51, 30)])
+    def test_block_matches_per_arc_search(self, grid, refine_iters):
+        rng = np.random.default_rng(34)
+        bulk = rng.uniform(0.0, 0.999, 200)
+        points = _mesh_points() + list(zip(bulk.tolist(), rng.uniform(bulk / 2.0, 0.5).tolist()))
+        for p in np.linspace(0.0, 0.999, 12).tolist():
+            points += [(p, p / 2.0), (p, p / 2.0 + 1e-12), (p, 0.5 - 1e-13), (p, 0.5)]
+        for p, q in points:
+            got = repr(grid_refine_maximize(p, q, grid, refine_iters))
+            assert got == repr(_grid_refine_per_arc(p, q, grid, refine_iters)), (p, q)
+
     @pytest.mark.parametrize("p,q", [(0.2, 0.3), (0.05, 0.15), (0.9, 0.49999)])
     def test_peak_at_largest_grid(self, p, q):
-        # A round holds a few arrays of grid floats, so the peak is linear
-        # in grid; it read ~212 kB at grid 2001.
+        # A round holds a few arrays of 2 x grid floats, so the peak is
+        # linear in grid; it read ~419 kB at grid 2001.
         assert _traced_peak(grid_refine_maximize, p, q, optimize._MAX_GRID) < 1_000_000
 
     def test_local_max_runs_match_loop(self):
