@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .attack import (_overlap_target, build_ancillas, build_isometry,
-                     eve_distribution_closed_form, optimal_parameters, simulate)
+from .attack import (_optimal_parameters, _overlap_target, build_ancillas, build_isometry,
+                     eve_distribution_closed_form, simulate)
 from .exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
 from .info import (_beta_sq, _i_ab, _i_ae_aligned, _i_ae_antiphase, _i_ae_optimal, _noise,
                    _optimum)
@@ -322,13 +322,14 @@ def compare_optimum(p, q, grid=201, refine_iters=6):
     Returns ``(values, result, degenerate)``: the eight values ``sixstate
     optimize`` reports, by name and in its order, the search's
     `OptimizationResult` and the degenerate flag of the Lagrange residual
-    of `optimal_parameters`.  The search validates (p, q), grid and
-    refine_iters first; the rest takes the validated pair it holds.
+    of `optimal_parameters`.  `grid_refine_maximize` validates (p, q),
+    grid and refine_iters, and is the one call that checks them; the
+    rest, the optimal attack included, takes the pair its result holds.
     """
     result = grid_refine_maximize(p, q, grid=grid, refine_iters=refine_iters)
     p, q = result.best_params.p, result.best_params.q
-    lr = lagrange_residual(optimal_parameters(p, q))
     noise = _noise(p)
+    lr = lagrange_residual(_optimal_parameters(noise, q))
     plus, closed = (float(x) for x in _optimum(noise, q))
     values = {
         "i_ae_closed": closed,
@@ -346,9 +347,11 @@ def compare_optimum(p, q, grid=201, refine_iters=6):
 def verify_checks(p, q):
     """Check the optimal attack at (p, q) against the simulation and the optimum.
 
-    Builds the attack of `optimal_parameters`, which validates (p, q),
-    and its isometry, simulates it once, and evaluates the closed forms
-    on the validated pair that the attack holds.  Returns ``(checks,
+    Validates (p, q) with `sixstate.protocol.check_domain`, then builds
+    the attack of `optimal_parameters` on the checked pair without
+    checking it again, and its isometry, simulates it once, and
+    evaluates the closed forms there.  `simulate` checks p once more, as
+    a public entry point of the independent oracle.  Returns ``(checks,
     advantage)``: ``checks`` is a list of seven ``(name, passed,
     detail)`` triples, in this order and with these bounds,
 
@@ -372,8 +375,9 @@ def verify_checks(p, q):
     ConstraintError
         If building or checking the attack breaks an internal invariant.
     """
-    params = optimal_parameters(p, q)
-    p, q = params.p, params.q
+    p, q = check_domain(p, q)
+    noise = _noise(p)
+    params = _optimal_parameters(noise, q)
     iso = build_isometry(_disturbance(q, p), build_ancillas(params))
     residual = abs(params.overlap - _overlap_target(p, q))
     closed = eve_distribution_closed_form(params)
@@ -381,7 +385,6 @@ def verify_checks(p, q):
     dist_err = float(max(abs(closed - sim)))
     qber_err = max(abs(0.5 * (w0 + w1) - q) for w0, w1 in flips)
     sym_err = max(abs(w1 - w0) for w0, w1 in flips)
-    noise = _noise(p)
     opt = float(_i_ae_optimal(noise, q))
     alt = float(_i_ae_antiphase(noise, q))
     swap = abs(float(_i_ae_aligned(noise, q, _beta_sq(noise, q, 1.0)))

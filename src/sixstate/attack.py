@@ -23,6 +23,16 @@ probe, signal, probe) axes of sizes (2, 4, 2, 4).
 `simulate` evolves both bits of all three bases as one tensor and reads
 Eve's z-basis populations and Bob's flips in every basis from its partial
 traces.  It checks the isometry's shape, its orthonormality, then p.
+
+Every public name checks its input: `AttackParameters(...)` the pair,
+radii and phase, `overlap_target`, `optimal_parameters` and
+`antiphase_parameters` the pair, `parameters_from_squares` the weights
+and the pair.  Three private constructors trust a pair the caller has
+already checked and check only the radius norms, an internal invariant
+(`ConstraintError`): `_parameters` from float radii and phase,
+`_from_squares` from weights in [0, 1] and a cosine in [-1, 1] (the
+grid search's result), and `_optimal_parameters` from the pair's
+`sixstate.info._noise` terms (`sixstate.analysis`).
 """
 
 import dataclasses
@@ -118,13 +128,7 @@ class AttackParameters:
         if not math.isfinite(phi):
             raise DomainError(f"delta_phi={phi} must be finite")
         object.__setattr__(self, "delta_phi", phi)
-        # Products, not ** 2: a huge radius squares to inf, not OverflowError.
-        na = self.r_beta_a * self.r_beta_a + self.r_gamma_a * self.r_gamma_a
-        nc = self.r_beta_c * self.r_beta_c + self.r_gamma_c * self.r_gamma_c
-        if abs(na - 1.0) > _NORM_TOL:
-            raise ConstraintError(f"kept-signal probe norm squared is {na}, not 1")
-        if abs(nc - 1.0) > _NORM_TOL:
-            raise ConstraintError(f"flipped-signal probe norm squared is {nc}, not 1")
+        _check_norms(self)
 
     @property
     def beta_a_sq(self):
@@ -149,6 +153,31 @@ class AttackParameters:
         """
         return (self.r_beta_a * self.r_beta_c
                 + self.r_gamma_a * self.r_gamma_c * self.cos_delta_phi)
+
+
+def _check_norms(params):
+    """Raise `ConstraintError` unless both radius pairs square to 1 within 1e-12."""
+    # Products, not ** 2: a huge radius squares to inf, not OverflowError.
+    na = params.r_beta_a * params.r_beta_a + params.r_gamma_a * params.r_gamma_a
+    nc = params.r_beta_c * params.r_beta_c + params.r_gamma_c * params.r_gamma_c
+    if abs(na - 1.0) > _NORM_TOL:
+        raise ConstraintError(f"kept-signal probe norm squared is {na}, not 1")
+    if abs(nc - 1.0) > _NORM_TOL:
+        raise ConstraintError(f"flipped-signal probe norm squared is {nc}, not 1")
+
+
+def _parameters(p, q, r_beta_a, r_gamma_a, r_beta_c, r_gamma_c, delta_phi):
+    """`AttackParameters` of a checked pair and float radii and phase.
+
+    Skips the input checks of `AttackParameters.__post_init__`, but not
+    its norm check, which guards an internal invariant.
+    """
+    params = object.__new__(AttackParameters)
+    values = (p, q, r_beta_a, r_gamma_a, r_beta_c, r_gamma_c, delta_phi)
+    for field, value in zip(dataclasses.fields(AttackParameters), values):
+        object.__setattr__(params, field.name, value)
+    _check_norms(params)
+    return params
 
 
 def overlap_target(p, q):
@@ -177,15 +206,14 @@ def parameters_from_squares(p, q, beta_a_sq, beta_c_sq, cos_dphi):
     beta_a_sq = check_range(beta_a_sq, 0.0, 1.0, "squared weight")
     beta_c_sq = check_range(beta_c_sq, 0.0, 1.0, "squared weight")
     cos_dphi = check_range(cos_dphi, -1.0, 1.0, "cos_dphi")
-    return AttackParameters(
-        p=p,
-        q=q,
-        r_beta_a=math.sqrt(beta_a_sq),
-        r_gamma_a=math.sqrt(1.0 - beta_a_sq),
-        r_beta_c=math.sqrt(beta_c_sq),
-        r_gamma_c=math.sqrt(1.0 - beta_c_sq),
-        delta_phi=math.acos(cos_dphi),
-    )
+    p, q = check_domain(p, q)
+    return _from_squares(p, q, beta_a_sq, beta_c_sq, cos_dphi)
+
+
+def _from_squares(p, q, ba, bc, cos):
+    """`parameters_from_squares` of a checked pair, weights in [0, 1] and cos in [-1, 1]."""
+    return _parameters(p, q, math.sqrt(ba), math.sqrt(1.0 - ba),
+                       math.sqrt(bc), math.sqrt(1.0 - bc), math.acos(cos))
 
 
 def optimal_parameters(p, q):
@@ -201,17 +229,15 @@ def optimal_parameters(p, q):
     weight itself rounds to 1.
     """
     p, q = check_domain(p, q)
-    theta = 0.5 * math.atan2(_overlap_target(p, q), float(_root(_noise(p), q)))
+    return _optimal_parameters(_noise(p), q)
+
+
+def _optimal_parameters(noise, q):
+    """`optimal_parameters` at the `sixstate.info._noise` terms of a checked pair."""
+    p = noise[0]
+    theta = 0.5 * math.atan2(_overlap_target(p, q), float(_root(noise, q)))
     big, small = math.cos(theta), math.sin(theta)
-    return AttackParameters(
-        p=p,
-        q=q,
-        r_beta_a=big,
-        r_gamma_a=small,
-        r_beta_c=small,
-        r_gamma_c=big,
-        delta_phi=0.0,
-    )
+    return _parameters(p, q, big, small, small, big, 0.0)
 
 
 def antiphase_parameters(p, q):

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .attack import AttackParameters, _overlap_target, overlap_target, parameters_from_squares
+from .attack import AttackParameters, _from_squares, _overlap_target, overlap_target
 from .exceptions import ConstraintError, DomainError
 from .info import _i_ae, _mix, _scales, beta_sq_optimal
 from .protocol import check_count, check_domain, check_range
@@ -221,7 +221,7 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     ba, bc = max(ba, bc), min(ba, bc)
     cos = _phase_cos(t, *_products(ba, bc))
     return OptimizationResult(
-        best_params=parameters_from_squares(p, q, ba, bc, cos),
+        best_params=_from_squares(p, q, ba, bc, cos),
         best_value=value,
         branch="phase0" if cos >= 0.0 else "phasepi",
         evaluations=2 * (refine_iters + 1) * grid + 1,

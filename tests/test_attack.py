@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,9 @@ from sixstate.attack import (
     simulate_eve_distribution,
 )
 from sixstate.exceptions import ConstraintError, DomainError
+from sixstate.optimize import grid_refine_maximize
+
+from test_optimize import _mesh_points
 
 # grid for the oracle-equivalence sweeps
 ORACLE_GRID = [
@@ -114,6 +118,31 @@ class TestAttackParameters:
         params = AttackParameters(0.0, 0.1, 0.8, 0.6, 0.8, 0.6, math.pi)
         assert params.delta_phi == pytest.approx(math.pi)
         assert params.cos_delta_phi == pytest.approx(-1.0)
+
+
+class TestTrustedConstructors:
+    """The private constructors for a checked pair, against `AttackParameters(...)`."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(3636)
+        p = rng.uniform(0.0, 0.999, 100)
+        return _mesh_points() + list(zip(p.tolist(), rng.uniform(p / 2.0, 0.5).tolist()))
+
+    def test_same_as_checked_construction(self):
+        # the checking constructor keeps every field as it is, and every
+        # field is a Python float, as the checks would have made it
+        for p, q in self.points():
+            for params in (optimal_parameters(p, q),
+                           grid_refine_maximize(p, q, 51, 0).best_params):
+                assert params == AttackParameters(**dataclasses.asdict(params)), (p, q)
+                assert all(type(x) is float for x in dataclasses.astuple(params)), (p, q)
+
+    def test_norm_still_checked(self):
+        with pytest.raises(ConstraintError, match="kept-signal probe norm"):
+            attack._parameters(0.05, 0.1, 0.9, 0.9, 1.0, 0.0, 0.0)
+        with pytest.raises(ConstraintError, match="flipped-signal probe norm"):
+            attack._parameters(0.05, 0.1, 1.0, 0.0, 0.6, 0.6, 0.0)
 
 
 def test_overlap_target_values():

@@ -149,11 +149,13 @@ class TestCrossing:
 
 
 def _count_validator_calls(monkeypatch, argv):
-    """The calls to each `protocol` validator during one successful `main(argv)`,
-    counted through every sixstate module binding of it."""
-    calls = {"check_domain": 0, "check_range": 0, "_float": 0}
-    for name in calls:
-        real = getattr(protocol, name)
+    """The calls to each `protocol` validator and to `info._noise` during one
+    successful `main(argv)`, counted through every sixstate module binding of it."""
+    sources = {"check_domain": protocol, "check_range": protocol, "_float": protocol,
+               "_noise": info}
+    calls = dict.fromkeys(sources, 0)
+    for name, source in sources.items():
+        real = getattr(source, name)
 
         def wrapper(*args, name=name, real=real):
             calls[name] += 1
@@ -220,13 +222,16 @@ class TestOptimize:
             assert ("mismatch" in capsys.readouterr().err) == (code == 4)
 
     def test_validators_called_at_most(self, monkeypatch):
-        # (p, q) is validated first by the grid search; the rest are --tol,
-        # grid and refine_iters, optimal_parameters, and the AttackParameters
-        # of the search's result and of optimal_parameters
+        # the grid search's check_domain is the one check of (p, q); the
+        # check_range calls are --tol's, q's inside check_domain, and those
+        # of grid and refine_iters; each converts with _float, as does p.
+        # Both attacks are built on the checked pair, and the noise terms
+        # are formed once for the closed forms and the optimal attack.
         calls = _count_validator_calls(monkeypatch, ["optimize", "--p", "0.05", "--q", "0.15"])
-        assert calls["check_domain"] <= 4
-        assert calls["check_range"] <= 10
-        assert calls["_float"] <= 24
+        assert calls["check_domain"] <= 1
+        assert calls["check_range"] <= 4
+        assert calls["_float"] <= 5
+        assert calls["_noise"] == 1
 
     def test_invalid_point_exit_code(self, capsys):
         assert cli.main(["optimize", "--p", "0.05", "--q", "0.01"]) == 2
@@ -300,12 +305,17 @@ class TestVerify:
             cli.main(["verify", "--p", "0.05", "--q", "0.15"])
 
     def test_validators_called_few_times(self, monkeypatch):
-        # (p, q) is validated first by optimal_parameters; the rest are its
-        # AttackParameters and the checks of build_isometry and simulate
+        # verify_checks' check_domain validates (p, q), and simulate's
+        # check_domain(p, 0.5) checks p again as the oracle's entry point;
+        # the check_range calls are q's in each of those and build_isometry's
+        # of d; each converts with _float, as does p in each check_domain.
+        # The optimal attack is built on the checked pair, and the noise
+        # terms are formed once for it and the closed forms.
         calls = _count_validator_calls(monkeypatch, ["verify", "--p", "0.05", "--q", "0.15"])
-        assert calls["check_domain"] <= 3
-        assert calls["check_range"] <= 4
-        assert calls["_float"] <= 12
+        assert calls["check_domain"] <= 2
+        assert calls["check_range"] <= 3
+        assert calls["_float"] <= 5
+        assert calls["_noise"] == 1
 
     def test_one_simulation_per_run(self, monkeypatch):
         # one joint-state tensor serves all three bases, and the isometry
