@@ -4,18 +4,16 @@ All logarithms are base 2 and ``0 log 0`` is taken to be 0.  Throughout,
 p is the white-noise weight of the source and q is Bob's observed error
 rate; the physical domain is ``0 <= p < 1`` and ``p/2 <= q <= 1/2``.
 
-Eve's outcome weights are written once, in `_scales` and `_mix`.  Her
-information has two kernels, written apart: `_i_ae` for any four
-squared probe weights, which the grid search of `sixstate.optimize`
-maximizes, and `_i_ae_aligned`, the paper's closed form on the
-aligned-phase branch, behind `i_ae_optimal`, the sweeps of
-`sixstate.analysis` and its "branch symmetry" check.  At aligned
-weights the two agree to round-off (within 2e-15 on a 96 by 2,001
-domain lattice in tests/test_info.py), so the grid search's agreement
-with the closed form tests the paper's formula, not one kernel against
-itself.  The kernels broadcast over numpy arrays and check nothing;
-each public function validates its scalar arguments and then calls
-them, and `sixstate.analysis` calls them on whole grids.
+Eve's outcome weights are written once, in `_scales` and `_mix`, which
+`sixstate.attack` and the grid search of `sixstate.optimize` read too.
+Her information on the aligned-phase branch is `_i_ae_aligned`, the
+paper's closed form, behind `i_ae_optimal`, the sweeps of
+`sixstate.analysis` and its "branch symmetry" check.  The grid search
+maximizes its own objective, `sixstate.optimize._i_ae`, written apart
+from this module's closed forms.  The kernels broadcast over numpy
+arrays and check nothing; each public function validates its scalar
+arguments and then calls them, and `sixstate.analysis` calls them on
+whole grids.
 
 The closed forms (`_root`, `_beta_sq`, `_i_ae_aligned`, `_optimum`,
 `_i_ae_optimal` and `_i_ae_antiphase`) take the noise weight as the terms of `_noise`:
@@ -24,8 +22,7 @@ p/2, 1 - p/2, 1 - p and the entropy term ``h(p/2) = (p/2) log2 (p/2) +
 that evaluates one p at many q forms them once: the crossing search of
 `sixstate.analysis` once per chunk of rows, not in every bisection
 round.  Within one call q - p/2 and 1 - p/2 - q are formed once, for
-the root and the closed form both.  The grid's `_i_ae` takes p itself
-and is untouched by this.
+the root and the closed form both.
 
 Each kernel is one code path for floats and arrays: it forms a fresh
 result and applies later steps by augmented assignment, in place on an
@@ -66,13 +63,6 @@ def _xlog2(x):
     return z
 
 
-def _tau(x, y):
-    """x log2 x + y log2 y - (x + y) log2 (x + y); broadcasts, checks nothing."""
-    s = _xlog2(x) + _xlog2(y)
-    s -= _xlog2(x + y)
-    return s
-
-
 def _scales(p, q):
     """Half the noise weight, the flip probability and the kept-signal weight.
 
@@ -86,22 +76,6 @@ def _scales(p, q):
 def _mix(half, a, c):
     """The weight pair ``((1 - half) a + half c, half a + (1 - half) c)``; broadcasts."""
     return (1.0 - half) * a + half * c, half * a + (1.0 - half) * c
-
-
-def _i_ae(p, q, ba, bc, ga, gc):
-    """Eve's information for squared probe weights; broadcasts, checks nothing.
-
-    ``1 + (pref / 2) (_tau(*beta) + _tau(*gamma)) + d _tau(1 - p/2, p/2)`` at d and pref
-    of `_scales` and the `_mix` pairs beta of (ba, bc), gamma of (ga, gc).  The four
-    weights share one shape, into which p and q broadcast, and so does the result.
-    """
-    half, d, pref = _scales(p, q)
-    s = _tau(*_mix(half, ba, bc))
-    s += _tau(*_mix(half, ga, gc))
-    s *= 0.5 * pref
-    s += 1.0
-    s += d * _tau(1.0 - half, half)
-    return s
 
 
 def mutual_information(joint):
@@ -237,8 +211,9 @@ def _i_ae_aligned(noise, q, beta_sq, spans=None):
     The paper's closed form ``1 + pref h(x) + d h(p/2)`` with
     ``x = (1 - p) beta_sq + p/2``, ``h(x) = x log2 x + (1 - x) log2 (1 - x)``,
     ``pref = (1 - p/2 - q) / (1 - p)`` and ``d = (q - p/2) / (1 - p)``,
-    at the terms of `_noise`.  This is `_i_ae` at the weights ``(beta_sq,
-    1 - beta_sq, 1 - beta_sq, beta_sq)``, evaluated apart from it.
+    at the terms of `_noise`.  This is the grid's objective
+    `sixstate.optimize._i_ae` at ``(beta_sq, 1 - beta_sq)``, evaluated
+    apart from it.
     Swapping ``beta_sq`` for ``1 - beta_sq`` turns x into ``1 - x``, which
     leaves h(x) and so the value unchanged.  q and beta_sq share one
     shape, into which the noise terms broadcast.  spans, if given, are

@@ -11,10 +11,15 @@ refinement then serves as an oracle that is independent of every
 closed form in `sixstate.info`: it uses no stationarity result, so the
 closed forms and the paper's optimum play no part in the search.
 
-The module also evaluates the first-order optimality system: the four
-radius derivatives of the objective against the three constraint
-gradients, fitted by least squares.  A small residual certifies a
-stationary point.
+The search maximizes `_i_ae`, Eve's information at two squared
+weights.  It is written apart from the paper's closed form in
+`sixstate.info` and shares only `_xlog2`, `_scales` and `_mix` with it,
+so the search's agreement with that form (within 2e-15 at aligned
+weights, tests/test_info.py) tests the paper's formula, not one kernel
+against itself.  Beside it sits the first-order optimality system
+derived from it: the four radius derivatives of the objective against
+the three constraint gradients, fitted by least squares.  A small
+residual certifies a stationary point.
 """
 
 import dataclasses
@@ -24,7 +29,7 @@ import numpy as np
 
 from .attack import AttackParameters, _from_squares, _overlap_target, overlap_target
 from .exceptions import ConstraintError, DomainError
-from .info import _i_ae, _mix, _scales, beta_sq_optimal
+from .info import _mix, _scales, _xlog2, beta_sq_optimal
 from .protocol import check_count, check_domain, check_range
 
 __all__ = [
@@ -124,13 +129,30 @@ def feasible_phase(r_beta_a_sq, r_beta_c_sq, p, q):
     return _phase_cos(t, pb, pg)
 
 
-def _objective(p, q, ba, bc):
-    """Eve's information over arrays of squared weights.
+def _tau(x, y):
+    """x log2 x + y log2 y - (x + y) log2 (x + y); broadcasts, checks nothing."""
+    s = _xlog2(x) + _xlog2(y)
+    s -= _xlog2(x + y)
+    return s
 
-    The gamma weights follow from the unit norms; the objective never
-    depends on the phases.
+
+def _i_ae(p, q, ba, bc):
+    """Eve's information at squared weights (ba, bc); broadcasts, checks nothing.
+
+    The search's objective over the unit-norm pairs ``(ba, 1 - ba)`` and
+    ``(bc, 1 - bc)``: ``1 + (pref / 2) (_tau(*beta) + _tau(*gamma)) + d
+    _tau(1 - p/2, p/2)`` at d and pref of `_scales` and the `_mix` pairs
+    beta of (ba, bc) and gamma of (1 - ba, 1 - bc).  It never depends on
+    the phases.  ba and bc share one shape, into which p and q
+    broadcast, and so does the result.
     """
-    return _i_ae(p, q, ba, bc, 1.0 - ba, 1.0 - bc)
+    half, d, pref = _scales(p, q)
+    s = _tau(*_mix(half, ba, bc))
+    s += _tau(*_mix(half, 1.0 - ba, 1.0 - bc))
+    s *= 0.5 * pref
+    s += 1.0
+    s += d * _tau(1.0 - half, half)
+    return s
 
 
 def _arc(theta, cos_sign, base):
@@ -196,7 +218,7 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     t = _overlap_target(p, q)
     theta = math.acos(min(t, 1.0))
 
-    best = (float(_objective(p, q, 0.0, 0.0)), 0.0, 0.0)
+    best = (float(_i_ae(p, q, 0.0, 0.0)), 0.0, 0.0)
     ends = (theta, math.pi / 2.0 - theta)
     wins, arcs, mids = [(0.0, end) for end in ends], [None, None], [0.0, 0.0]
     signs = np.array([[-1.0], [1.0]])
@@ -205,7 +227,7 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
         # of both rows as soon as either window spans zero
         base = np.array([np.linspace(lo, hi, grid) for lo, hi in wins])
         ba, bc = _arc(theta, signs, base)
-        vals = _objective(p, q, ba, bc)
+        vals = _i_ae(p, q, ba, bc)
         for i, k in enumerate(vals.argmax(axis=1).tolist()):
             if arcs[i] is None or vals[i, k] > arcs[i][0]:
                 arcs[i] = float(vals[i, k]), float(ba[i, k]), float(bc[i, k])
@@ -326,7 +348,7 @@ def phase_branch_scan(p, q, cos_sign, samples=2001):
     theta = math.acos(min(_overlap_target(p, q), 1.0))
     end = math.pi / 2.0 - theta if cos_sign > 0 else theta
     ba, bc = _arc(theta, cos_sign, np.linspace(0.0, end, samples))
-    return ba, bc, _objective(p, q, ba, bc)
+    return ba, bc, _i_ae(p, q, ba, bc)
 
 
 def _local_max_runs(values):

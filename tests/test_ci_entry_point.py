@@ -19,7 +19,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 STEP = "Entry point"
-TOOLS = ("bash", "sha256sum", "diff", "timeout", "sed")
+TOOLS = ("bash", "sha256sum", "diff", "timeout")
 
 
 def _indent(line):

@@ -4,9 +4,7 @@ import pytest
 from sixstate import analysis, attack, info
 from sixstate.exceptions import DomainError
 from sixstate.info import (
-    _i_ae,
     _i_ae_aligned,
-    _tau,
     _xlog2,
     beta_sq_optimal,
     i_ab,
@@ -14,6 +12,7 @@ from sixstate.info import (
     i_ae_optimal,
     mutual_information,
 )
+from sixstate.optimize import _i_ae, _tau
 from sixstate.protocol import check_domain
 
 # interior sampling grid reused by several property tests
@@ -25,21 +24,13 @@ GRID = [
 
 
 def i_ae_of(params):
-    """Eve's information from the four squared radii of a parameter point."""
-    return float(
-        _i_ae(
-            params.p,
-            params.q,
-            params.r_beta_a ** 2,
-            params.r_beta_c ** 2,
-            params.r_gamma_a ** 2,
-            params.r_gamma_c ** 2,
-        )
-    )
+    """Eve's information from the two squared beta weights of a parameter point."""
+    return float(_i_ae(params.p, params.q, params.beta_a_sq, params.beta_c_sq))
 
 
 # The kernels as plain expressions: the reference the augmented steps of
-# sixstate.info must match bit for bit, bar _xlog2's zero term on an array.
+# sixstate.info and sixstate.optimize must match bit for bit, bar _xlog2's
+# zero term on an array.
 def _xlog2_reference(x):
     return x * np.log2(x + (x == 0.0))
 
@@ -48,7 +39,7 @@ def _tau_reference(x, y):
     return _xlog2_reference(x) + _xlog2_reference(y) - _xlog2_reference(x + y)
 
 
-def _i_ae_reference(p, q, ba, bc, ga, gc):
+def _i_ae_reference(p, q, ba, bc):
     half = p / 2.0
     d = (q - p / 2.0) / (1.0 - p)
     pref = (1.0 - half - q) / (1.0 - p)
@@ -56,7 +47,7 @@ def _i_ae_reference(p, q, ba, bc, ga, gc):
     def mix(a, c):
         return (1.0 - half) * a + half * c, half * a + (1.0 - half) * c
 
-    beta, gamma = mix(ba, bc), mix(ga, gc)
+    beta, gamma = mix(ba, bc), mix(1.0 - ba, 1.0 - bc)
     return (1.0 + 0.5 * pref * (_tau_reference(*beta) + _tau_reference(*gamma))
             + d * _tau_reference(1.0 - half, half))
 
@@ -106,7 +97,7 @@ def _crossing_shape():
     p = np.linspace(0.0, 0.5, 7)[:, None]
     q = p / 2.0 + np.linspace(0.0, 1.0, 63) * (0.5 - p / 2.0)
     ba = info._beta_sq(info._noise(p), q, 1.0)
-    return p, q, ba, 1.0 - ba, 1.0 - ba, ba
+    return p, q, ba, 1.0 - ba
 
 
 def _crossing_view():
@@ -127,13 +118,13 @@ def _lattice():
     """Scalar p and q against weight arrays holding exact 0 and 1, as the grid search."""
     ba = np.array([0.0, 1.0, 0.5, 0.25, 1e-300, 0.999, 0.0, 1.0])
     bc = np.array([0.0, 1.0, 0.7, 0.0, 1.0, 1e-17, 1.0, 0.0])
-    return 0.05, 0.15, ba, bc, 1.0 - ba, 1.0 - bc
+    return 0.05, 0.15, ba, bc
 
 
 def _zero_noise_edges():
-    """p = 0 against four weights that are each exactly 0 or 1, in every combination."""
-    ba, bc, ga, gc = np.indices((2, 2, 2, 2), dtype=float).reshape(4, -1)
-    return 0.0, 0.3, ba, bc, ga, gc
+    """p = 0 against two weights that are each exactly 0 or 1, in every combination."""
+    ba, bc = np.indices((2, 2), dtype=float).reshape(2, -1)
+    return 0.0, 0.3, ba, bc
 
 
 # scalars only: an array's zero term is tested apart, in _XLOG2_ZEROS
@@ -156,10 +147,10 @@ _TAUS = {
 _I_AES = {
     "lattice": _lattice(),
     "zero_noise_edges": _zero_noise_edges(),
-    "python_floats": (0.05, 0.12, 0.8, 0.35, 0.2, 0.65),
-    "python_edges": (0.0, 0.5, 1.0, 0.0, 0.0, 1.0),
-    "float64": tuple(np.float64(v) for v in (0.1, 0.3, 0.6, 0.2, 0.4, 0.8)),
-    "0d_arrays": tuple(np.array(v) for v in (0.1, 0.05, 0.5, 0.5, 0.5, 0.5)),
+    "python_floats": (0.05, 0.12, 0.8, 0.35),
+    "python_edges": (0.0, 0.5, 1.0, 0.0),
+    "float64": tuple(np.float64(v) for v in (0.1, 0.3, 0.6, 0.2)),
+    "0d_arrays": tuple(np.array(v) for v in (0.1, 0.05, 0.5, 0.5)),
     "crossing_shape": _crossing_shape(),
 }
 _I_AE_ALIGNEDS = {
@@ -399,8 +390,8 @@ class TestIAEOptimal:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_closed_form_matches_general_kernel_on_domain_lattice():
-    # The paper's closed form (_i_ae_aligned) and the grid's four-weight
-    # kernel (_i_ae) are evaluated apart; on 96 p by 2,001 q they agree to
+    # The paper's closed form (_i_ae_aligned) and the grid's objective
+    # (optimize._i_ae) are evaluated apart; on 96 p by 2,001 q they agree to
     # round-off at both roots, and the two roots give the same value.
     p = np.linspace(0.0, 0.95, 96)[:, None]
     q = p / 2.0 + np.linspace(0.0, 1.0, 2001) * (0.5 - p / 2.0)
@@ -410,7 +401,7 @@ def test_closed_form_matches_general_kernel_on_domain_lattice():
         b = info._beta_sq(noise, q, sign)
         closed = info._i_ae_aligned(noise, q, b)
         assert closed.shape == q.shape
-        assert np.abs(closed - _i_ae(p, q, b, 1.0 - b, 1.0 - b, b)).max() <= 2e-15
+        assert np.abs(closed - _i_ae(p, q, b, 1.0 - b)).max() <= 2e-15
         values.append(closed)
     assert np.abs(values[0] - values[1]).max() <= 2e-15
 
@@ -456,7 +447,14 @@ class TestIAEGeneral:
             r_gamma_c=params.r_beta_c,
             delta_phi=params.delta_phi,
         )
-        assert i_ae_of(params) == i_ae_of(swapped)
+        # the exchange swaps Eve's |10> and |01> outcomes, entries 1 <-> 2
+        # and 5 <-> 6, by the same arithmetic
+        dist = attack.eve_distribution_closed_form(params)
+        dist_swapped = attack.eve_distribution_closed_form(swapped)
+        assert dist_swapped[[0, 2, 1, 3, 4, 6, 5, 7]].tobytes() == dist.tobytes()
+        assert mutual_information(0.5 * dist_swapped.reshape(2, 4)) == pytest.approx(
+            mutual_information(0.5 * dist.reshape(2, 4)), abs=1e-15
+        )
 
     def test_matches_mutual_information_for_random_params(self):
         rng = np.random.default_rng(7)

@@ -1,12 +1,13 @@
 import dataclasses
 import decimal
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sixstate import attack, info, optimize
+from sixstate import analysis, attack, info, optimize
 from sixstate.exceptions import ConstraintError, DomainError
 from sixstate.optimize import (
     feasible_phase,
@@ -15,7 +16,7 @@ from sixstate.optimize import (
     phase_branch_scan,
     verify_root_pair,
 )
-from sixstate.protocol import check_domain
+from sixstate.protocol import check_domain, d_from_qber
 
 from test_info import _i_ae_reference
 
@@ -98,10 +99,10 @@ class TestGridRefineMaximize:
         result = repr(grid_refine_maximize(p, q))
         shapes = []
 
-        def reference(p, q, ba, bc, ga, gc):
+        def reference(p, q, ba, bc):
             if isinstance(ba, np.ndarray):
                 shapes.append(ba.shape)
-            return _i_ae_reference(p, q, ba, bc, ga, gc)
+            return _i_ae_reference(p, q, ba, bc)
 
         monkeypatch.setattr(optimize, "_i_ae", reference)
         assert repr(grid_refine_maximize(p, q)) == result
@@ -113,11 +114,11 @@ class TestGridRefineMaximize:
     # arc's best samples lie at its ends, so windows reach past them
     @pytest.mark.parametrize("p,q", [(0.05, 0.15), (0.3, 0.49999), (0.9, 0.45)])
     def test_samples_lie_on_their_arcs(self, monkeypatch, p, q):
-        calls = []
+        calls, real = [], optimize._i_ae
 
-        def recording(p, q, ba, bc, ga, gc):
+        def recording(p, q, ba, bc):
             calls.append((ba, bc))
-            return info._i_ae(p, q, ba, bc, ga, gc)
+            return real(p, q, ba, bc)
 
         monkeypatch.setattr(optimize, "_i_ae", recording)
         grid_refine_maximize(p, q, grid=51, refine_iters=4)
@@ -205,8 +206,8 @@ class TestPhaseBranchScan:
         # for bit.
         for q in np.linspace(p / 2.0, 0.5, 10).tolist():
             ba, bc, vals = phase_branch_scan(p, q, 1, samples=201)
-            assert vals.tobytes() == optimize._objective(p, q, ba, bc).tobytes(), (p, q)
-            assert vals.tobytes() == optimize._objective(p, q, bc, ba).tobytes(), (p, q)
+            assert vals.tobytes() == optimize._i_ae(p, q, ba, bc).tobytes(), (p, q)
+            assert vals.tobytes() == optimize._i_ae(p, q, bc, ba).tobytes(), (p, q)
 
     def test_aligned_arcs_track_the_boundary(self):
         t = attack.overlap_target(0.05, 0.2)
@@ -370,13 +371,13 @@ def _grid_refine_mesh(p, q, grid=201, refine_iters=6):
             break
         fa = aa[feasible]
         fc = cc[feasible]
-        vals = optimize._objective(p, q, fa, fc)
+        vals = optimize._i_ae(p, q, fa, fc)
         k = int(np.argmax(vals))
         cand = (float(fa[k]), float(fc[k]), float(vals[k]))
         if best_j is None or cand[2] > best_j:
             best_a, best_c, best_j = cand
         if best_a < 0.5:
-            mirror_j = float(optimize._objective(p, q, 1.0 - best_a, 1.0 - best_c))
+            mirror_j = float(optimize._i_ae(p, q, 1.0 - best_a, 1.0 - best_c))
             if mirror_j >= best_j:
                 best_a, best_c, best_j = 1.0 - best_a, 1.0 - best_c, mirror_j
         span_a, span_c = (hi_a - lo_a) / 10.0, (hi_c - lo_c) / 10.0
@@ -395,7 +396,7 @@ def _grid_refine_per_arc(p, q, grid=201, refine_iters=6):
     p, q = check_domain(p, q)
     t = attack.overlap_target(p, q)
     theta = math.acos(min(t, 1.0))
-    best = (float(optimize._objective(p, q, 0.0, 0.0)), 0.0, 0.0)
+    best = (float(optimize._i_ae(p, q, 0.0, 0.0)), 0.0, 0.0)
     for cos_sign, end in ((-1, theta), (1, math.pi / 2.0 - theta)):
         lo, hi = 0.0, end
         arc = None
@@ -403,7 +404,7 @@ def _grid_refine_per_arc(p, q, grid=201, refine_iters=6):
             base = np.linspace(lo, hi, grid)
             alpha, chi = (base + theta, base) if cos_sign > 0 else (base, theta - base)
             ba, bc = np.cos(alpha) ** 2, np.cos(chi) ** 2
-            vals = optimize._objective(p, q, ba, bc)
+            vals = optimize._i_ae(p, q, ba, bc)
             k = int(vals.argmax())
             if arc is None or vals[k] > arc[0]:
                 arc, mid = (float(vals[k]), float(ba[k]), float(bc[k])), float(base[k])
@@ -434,7 +435,7 @@ def _phase_branch_scan_reference(p, q, cos_sign, samples):
         alpha, chi = base, theta - base
     ba = np.cos(alpha) ** 2
     bc = np.cos(chi) ** 2
-    return ba, bc, optimize._objective(p, q, ba, bc)
+    return ba, bc, optimize._i_ae(p, q, ba, bc)
 
 
 def _traced_peak(fn, *args):
@@ -517,6 +518,85 @@ class TestArrayGeometry:
             assert optimize._local_max_runs(vals).tolist() == _local_max_runs_loop(vals)
 
 
+# The paper's closed forms and what is built on them: the independent
+# checks must reach none of these.
+_CLOSED_FORMS = {
+    info: ("_noise", "_root", "_beta_sq", "_i_ae_aligned", "_optimum", "_i_ae_optimal",
+           "_i_ae_antiphase", "beta_sq_optimal", "i_ae_optimal", "i_ae_antiphase"),
+    attack: ("eve_distribution_closed_form", "_optimal_parameters"),
+}
+
+
+class ClosedFormCalled(AssertionError):
+    pass
+
+
+def _oracle_records():
+    """The grid search, both scans and the simulation, as bytes, on fixed points."""
+    rng = np.random.default_rng(37)
+    bulk = rng.uniform(0.0, 0.999, 50)
+    points = _mesh_points() + list(zip(bulk.tolist(), rng.uniform(bulk / 2.0, 0.5).tolist()))
+    records = []
+    for p, q in points:
+        records.append(repr(grid_refine_maximize(p, q, 201, 6)))
+        for sign in (1, -1):
+            records.append(b"".join(a.tobytes() for a in phase_branch_scan(p, q, sign)))
+        ba, bc, cos = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0)
+        params = attack.parameters_from_squares(p, q, ba, bc, cos)
+        iso = attack.build_isometry(d_from_qber(q, p), attack.build_ancillas(params))
+        eve, flips = attack.simulate(iso, p)
+        records.append(eve.tobytes() + repr(flips).encode())
+    return records
+
+
+def test_oracle_uses_no_closed_form(monkeypatch):
+    # The grid search and the density-matrix simulation check the paper's
+    # closed forms, so they must give the same bits with every closed form
+    # replaced, through every sixstate module's binding, by one that raises.
+    want = _oracle_records()
+    for source, names in _CLOSED_FORMS.items():
+        for name in names:
+            real = getattr(source, name)
+
+            def closed_form(*args, name=name):
+                raise ClosedFormCalled(name)
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("sixstate") and vars(module).get(name) is real:
+                    monkeypatch.setattr(module, name, closed_form)
+    with pytest.raises(ClosedFormCalled):
+        analysis.compare_optimum(0.05, 0.15)
+    assert _oracle_records() == want
+
+
+# Just above q = p/2 the information is smaller than _i_ae's absolute
+# round-off, so the search can read above the maximum, or off zero where
+# the information is exactly zero, and the +1 arc's top is flat within
+# round-off over hundreds of samples, where _local_max_runs finds many
+# maxima.  A relative-accurate _i_ae must turn these cases green.
+_ABSOLUTE_ROUND_OFF = pytest.mark.xfail(
+    strict=True, reason="_i_ae's absolute round-off exceeds the information near q = p/2")
+
+
+class TestNearNoInteraction:
+    @_ABSOLUTE_ROUND_OFF
+    @pytest.mark.parametrize("p,q", [(0.1, 0.050000001), (0.3, 0.150000001),
+                                     (0.5, 0.2500000001)])
+    def test_never_reads_above_the_maximum(self, p, q):
+        assert grid_refine_maximize(p, q).best_value <= info.i_ae_optimal(p, q) * (1 + 1e-9)
+
+    @_ABSOLUTE_ROUND_OFF
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.9])
+    def test_zero_at_no_interaction(self, p):
+        assert grid_refine_maximize(p, p / 2.0).best_value == 0.0
+
+    @_ABSOLUTE_ROUND_OFF
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.9])
+    def test_root_pair_just_above_no_interaction(self, p):
+        # the two roots are distinct here; verify_root_pair holds from
+        # q = p/2 + 1e-4 on, and at p = 0.3 fails from p/2 + 1e-5 down
+        assert verify_root_pair(p, p / 2.0 + 1e-6)
+
+
 def _xlog2_decimal(x):
     return x * x.ln() / decimal.Decimal(2).ln() if x else decimal.Decimal(0)
 
@@ -561,7 +641,7 @@ class TestChordPruning:
         for p_, q_ in zip(p.tolist(), q.tolist()):
             ba, bc = rng.uniform(size=(2, 10))
             ba[:2], bc[1:3] = (0.0, 1.0), (0.0, 1.0)
-            got = optimize._objective(p_, q_, ba, bc)
+            got = optimize._i_ae(p_, q_, ba, bc)
             for a, c, v in zip(ba.tolist(), bc.tolist(), got.tolist()):
                 err = abs(decimal.Decimal(v) - _objective_decimal(p_, q_, a, c))
                 worst = max(worst, float(err))
