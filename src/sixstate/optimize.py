@@ -12,7 +12,9 @@ closed form in `sixstate.info`: it uses no stationarity result, so the
 closed forms and the paper's optimum play no part in the search.
 
 The search maximizes `_i_ae`, Eve's information at two squared
-weights.  It is written apart from the paper's closed form in
+weights, on the per-``(p, q)`` terms that `_terms` forms once per
+search, as `sixstate.info`'s closed forms take the terms of `_noise`.
+It is written apart from the paper's closed form in
 `sixstate.info` and shares only `_xlog2`, `_scales` and `_mix` with it,
 so the search's agreement with that form (within 2e-15 at aligned
 weights, tests/test_info.py) tests the paper's formula, not one kernel
@@ -45,8 +47,9 @@ __all__ = [
 # Absolute slack when testing whether a weight pair admits a phase.
 _FEAS_SLACK = 1e-12
 # Most samples per boundary arc.  grid_refine_maximize samples both arcs
-# in one block per round and holds a few arrays of 2 x grid floats, so its
-# memory is linear in grid: at 2001 its tracemalloc peak is ~0.4 MB.
+# in one block per round and holds a few arrays of 2 x grid floats, and
+# _i_ae a few of 2 x 2 x grid, so its memory is linear in grid: at 2001
+# its tracemalloc peak is ~0.53 MB.
 _MAX_GRID = 2001
 # Most refinement rounds.  Each costs one sweep of each arc; on 20 random
 # (p, q) at grid 201, no result changed after round 13.
@@ -136,22 +139,34 @@ def _tau(x, y):
     return s
 
 
-def _i_ae(p, q, ba, bc):
+def _terms(p, q):
+    """The per-``(p, q)`` terms of `_i_ae`: ``(p/2, pref/2, d _tau(1 - p/2, p/2))``.
+
+    d and pref are those of `_scales`; broadcasts, checks nothing.  A
+    search forms them once and passes them to every `_i_ae` call, as
+    `sixstate.info`'s closed forms take the terms of its `_noise`.
+    """
+    half, d, pref = _scales(p, q)
+    return half, 0.5 * pref, d * _tau(1.0 - half, half)
+
+
+def _i_ae(terms, ba, bc):
     """Eve's information at squared weights (ba, bc); broadcasts, checks nothing.
 
     The search's objective over the unit-norm pairs ``(ba, 1 - ba)`` and
     ``(bc, 1 - bc)``: ``1 + (pref / 2) (_tau(*beta) + _tau(*gamma)) + d
-    _tau(1 - p/2, p/2)`` at d and pref of `_scales` and the `_mix` pairs
-    beta of (ba, bc) and gamma of (1 - ba, 1 - bc).  It never depends on
-    the phases.  ba and bc share one shape, into which p and q
-    broadcast, and so does the result.
+    _tau(1 - p/2, p/2)`` at the `_terms` of (p, q) and the `_mix` pairs
+    beta of (ba, bc) and gamma of (1 - ba, 1 - bc), both pairs stacked
+    into one `_tau` call.  It never depends on the phases.  ba and bc
+    share one shape, into which p and q broadcast, and so does the
+    result.
     """
-    half, d, pref = _scales(p, q)
-    s = _tau(*_mix(half, ba, bc))
-    s += _tau(*_mix(half, 1.0 - ba, 1.0 - bc))
-    s *= 0.5 * pref
+    half, half_pref, noise = terms
+    t = _tau(*_mix(half, np.array([ba, 1.0 - ba]), np.array([bc, 1.0 - bc])))
+    s = t[0] + t[1]
+    s *= half_pref
     s += 1.0
-    s += d * _tau(1.0 - half, half)
+    s += noise
     return s
 
 
@@ -218,23 +233,29 @@ def grid_refine_maximize(p, q, grid=201, refine_iters=6):
     t = _overlap_target(p, q)
     theta = math.acos(min(t, 1.0))
 
-    best = (float(_i_ae(p, q, 0.0, 0.0)), 0.0, 0.0)
+    terms = _terms(p, q)
+    best = (float(_i_ae(terms, 0.0, 0.0)), 0.0, 0.0)
     ends = (theta, math.pi / 2.0 - theta)
-    wins, arcs, mids = [(0.0, end) for end in ends], [None, None], [0.0, 0.0]
+    # each row's window (lo, hi), as columns lo and hi that view it
+    win = np.array([(0.0, end) for end in ends])
+    lo, hi = win[:, :1], win[:, 1:]
+    ramp = np.arange(grid, dtype=float)
+    arcs, mids = [None, None], [0.0, 0.0]
     signs = np.array([[-1.0], [1.0]])
     for _ in range(refine_iters + 1):
-        # one linspace per row: with array ends numpy changes the formula
-        # of both rows as soon as either window spans zero
-        base = np.array([np.linspace(lo, hi, grid) for lo, hi in wins])
+        # np.linspace's arithmetic, row by row; on a zero-width window it
+        # gives lo exactly, as linspace's zero-step branch does
+        base = ramp * ((hi - lo) / (grid - 1))
+        base += lo
+        base[:, -1:] = hi
         ba, bc = _arc(theta, signs, base)
-        vals = _i_ae(p, q, ba, bc)
+        vals = _i_ae(terms, ba, bc)
         for i, k in enumerate(vals.argmax(axis=1).tolist()):
             if arcs[i] is None or vals[i, k] > arcs[i][0]:
                 arcs[i] = float(vals[i, k]), float(ba[i, k]), float(bc[i, k])
                 mids[i] = float(base[i, k])
-            lo, hi = wins[i]
-            span = (hi - lo) / 10.0
-            wins[i] = max(0.0, mids[i] - span / 2.0), min(ends[i], mids[i] + span / 2.0)
+            span = (win[i, 1] - win[i, 0]) / 10.0
+            win[i] = max(0.0, mids[i] - span / 2.0), min(ends[i], mids[i] + span / 2.0)
     for arc in arcs:
         if arc[0] >= best[0]:
             best = arc
@@ -348,7 +369,7 @@ def phase_branch_scan(p, q, cos_sign, samples=2001):
     theta = math.acos(min(_overlap_target(p, q), 1.0))
     end = math.pi / 2.0 - theta if cos_sign > 0 else theta
     ba, bc = _arc(theta, cos_sign, np.linspace(0.0, end, samples))
-    return ba, bc, _i_ae(p, q, ba, bc)
+    return ba, bc, _i_ae(_terms(p, q), ba, bc)
 
 
 def _local_max_runs(values):

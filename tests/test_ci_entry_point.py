@@ -1,10 +1,11 @@
-"""The workflow's "Entry point" step, run as CI runs it.
+"""The workflow's "Entry point" and "Demos" steps, run as CI runs them.
 
-The step's byte pins of `sixstate` output (sha256 sums, golden diffs,
-greps and exit codes) live in .github/workflows/tests.yml alone.  This
-test reads the step's `run:` block from there and runs it from the
-repository root under ``bash -eo pipefail``, so nothing is copied here
-and nothing can drift.
+The "Entry point" step's byte pins of `sixstate` output (sha256 sums,
+golden diffs, greps and exit codes) live in .github/workflows/tests.yml
+alone, and so does the "Demos" step's loop over demos/*.py.  These tests
+read each step's `run:` script from there and run it from the
+repository root under ``bash -eo pipefail`` with warnings as errors, so
+nothing is copied here and nothing can drift.
 """
 
 import os
@@ -27,7 +28,7 @@ def _indent(line):
 
 
 def step_script(name):
-    """The `run: |` block of the workflow step called name, dedented."""
+    """The `run:` script of the workflow step called name: one line, or a dedented `|` block."""
     lines = WORKFLOW.read_text().splitlines()
     start = next(i for i, line in enumerate(lines) if line.strip() == f"- name: {name}")
     step = _indent(lines[start])
@@ -35,15 +36,37 @@ def step_script(name):
         line = lines[i]
         if line.strip() and _indent(line) <= step:
             break
-        if line.strip() == "run: |":
-            key = _indent(line)
-            block = []
-            for body in lines[i + 1:]:
-                if body.strip() and _indent(body) <= key:
-                    break
-                block.append(body)
-            return textwrap.dedent("\n".join(block)) + "\n"
-    raise AssertionError(f"step {name!r} has no 'run: |' block")
+        key, _, value = line.strip().partition(": ")
+        if key != "run":
+            continue
+        if value != "|":
+            return value + "\n"
+        block = []
+        for body in lines[i + 1:]:
+            if body.strip() and _indent(body) <= _indent(line):
+                break
+            block.append(body)
+        return textwrap.dedent("\n".join(block)) + "\n"
+    raise AssertionError(f"step {name!r} has no 'run:' script")
+
+
+def _run_step(name, script, tmp_path):
+    """Run script as the step called name runs it; fail with its output if it exits non-zero."""
+    shims = tmp_path / "bin"
+    shims.mkdir()
+    python = shims / "python"
+    python.write_text(f'#!/bin/sh\nexec "{sys.executable}" "$@"\n')
+    python.chmod(0o755)
+    path = tmp_path / "step.sh"
+    path.write_text(script)
+    env = dict(os.environ, PYTHONWARNINGS="error", RUNNER_TEMP=str(tmp_path),
+               PATH=f"{shims}{os.pathsep}{os.environ.get('PATH', '')}")
+    done = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", str(path)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, (
+        f"{name!r} step exited {done.returncode}\n"
+        f"--- stdout (tail)\n{done.stdout[-3000:]}\n--- stderr (tail)\n{done.stderr[-3000:]}"
+    )
 
 
 def test_entry_point_step(tmp_path):
@@ -52,18 +75,14 @@ def test_entry_point_step(tmp_path):
         pytest.fail(f"the {STEP!r} step needs {', '.join(missing)}, not found on PATH")
     script = step_script(STEP)
     assert "python -m sixstate.cli" in script
-    shims = tmp_path / "bin"
-    shims.mkdir()
-    python = shims / "python"
-    python.write_text(f'#!/bin/sh\nexec "{sys.executable}" "$@"\n')
-    python.chmod(0o755)
-    path = tmp_path / "entry_point.sh"
-    path.write_text(script)
-    env = dict(os.environ, PYTHONWARNINGS="error", RUNNER_TEMP=str(tmp_path),
-               PATH=f"{shims}{os.pathsep}{os.environ.get('PATH', '')}")
-    done = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", str(path)],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, (
-        f"{STEP!r} step exited {done.returncode}\n"
-        f"--- stdout (tail)\n{done.stdout[-3000:]}\n--- stderr (tail)\n{done.stderr[-3000:]}"
-    )
+    _run_step(STEP, script, tmp_path)
+
+
+def test_demos_step(tmp_path):
+    # every demo runs the library end to end; optimizer_demo.py runs the
+    # grid search and the branch scan
+    if shutil.which("bash") is None:
+        pytest.fail("the 'Demos' step needs bash, not found on PATH")
+    script = step_script("Demos")
+    assert "demos/*.py" in script
+    _run_step("Demos", script, tmp_path)

@@ -12,7 +12,7 @@ from sixstate.info import (
     i_ae_optimal,
     mutual_information,
 )
-from sixstate.optimize import _i_ae, _tau
+from sixstate.optimize import _i_ae, _tau, _terms
 from sixstate.protocol import check_domain
 
 # interior sampling grid reused by several property tests
@@ -25,7 +25,7 @@ GRID = [
 
 def i_ae_of(params):
     """Eve's information from the two squared beta weights of a parameter point."""
-    return float(_i_ae(params.p, params.q, params.beta_a_sq, params.beta_c_sq))
+    return float(_i_ae(_terms(params.p, params.q), params.beta_a_sq, params.beta_c_sq))
 
 
 # The kernels as plain expressions: the reference the augmented steps of
@@ -180,7 +180,7 @@ _KERNELS = [
     for name, kernel, reference, cases in [
         ("xlog2", _xlog2, _xlog2_reference, _XS),
         ("tau", _tau, _tau_reference, _TAUS),
-        ("i_ae", _i_ae, _i_ae_reference, _I_AES),
+        ("i_ae", lambda p, q, *args: _i_ae(_terms(p, q), *args), _i_ae_reference, _I_AES),
         ("i_ae_aligned", _at_p(info._i_ae_aligned), _i_ae_aligned_reference, _I_AE_ALIGNEDS),
         ("beta_sq_plus", lambda p, q: _at_p(info._beta_sq)(p, q, 1.0),
          lambda p, q: _beta_sq_reference(p, q, 1.0), _P_QS),
@@ -401,7 +401,7 @@ def test_closed_form_matches_general_kernel_on_domain_lattice():
         b = info._beta_sq(noise, q, sign)
         closed = info._i_ae_aligned(noise, q, b)
         assert closed.shape == q.shape
-        assert np.abs(closed - _i_ae(p, q, b, 1.0 - b)).max() <= 2e-15
+        assert np.abs(closed - _i_ae(_terms(p, q), b, 1.0 - b)).max() <= 2e-15
         values.append(closed)
     assert np.abs(values[0] - values[1]).max() <= 2e-15
 

@@ -99,16 +99,29 @@ class TestGridRefineMaximize:
         result = repr(grid_refine_maximize(p, q))
         shapes = []
 
-        def reference(p, q, ba, bc):
-            if isinstance(ba, np.ndarray):
-                shapes.append(ba.shape)
+        def reference(terms, ba, bc):
+            shapes.append(np.shape(ba))
             return _i_ae_reference(p, q, ba, bc)
 
         monkeypatch.setattr(optimize, "_i_ae", reference)
         assert repr(grid_refine_maximize(p, q)) == result
         # Every round reaches the kernel through this binding, in one array
-        # call on both arcs' samples; the corner passes scalars.
-        assert shapes == [(2, 201)] * 7
+        # call on both arcs' samples; the corner passes scalars first.
+        assert shapes == [()] + [(2, 201)] * 7
+
+    @pytest.mark.parametrize("refine_iters", [0, 6, 30])
+    def test_terms_formed_once_per_search(self, monkeypatch, refine_iters):
+        calls, real = [], optimize._terms
+
+        def counting(p, q):
+            calls.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(optimize, "_terms", counting)
+        grid_refine_maximize(0.05, 0.15, grid=51, refine_iters=refine_iters)
+        assert calls == [(0.05, 0.15)]
+        phase_branch_scan(0.3, 0.2, -1, samples=201)
+        assert calls == [(0.05, 0.15), (0.3, 0.2)]
 
     # at 0.49999 the +1 arc's best sample lies near its end, and the -1
     # arc's best samples lie at its ends, so windows reach past them
@@ -116,9 +129,9 @@ class TestGridRefineMaximize:
     def test_samples_lie_on_their_arcs(self, monkeypatch, p, q):
         calls, real = [], optimize._i_ae
 
-        def recording(p, q, ba, bc):
+        def recording(terms, ba, bc):
             calls.append((ba, bc))
-            return real(p, q, ba, bc)
+            return real(terms, ba, bc)
 
         monkeypatch.setattr(optimize, "_i_ae", recording)
         grid_refine_maximize(p, q, grid=51, refine_iters=4)
@@ -206,8 +219,9 @@ class TestPhaseBranchScan:
         # for bit.
         for q in np.linspace(p / 2.0, 0.5, 10).tolist():
             ba, bc, vals = phase_branch_scan(p, q, 1, samples=201)
-            assert vals.tobytes() == optimize._i_ae(p, q, ba, bc).tobytes(), (p, q)
-            assert vals.tobytes() == optimize._i_ae(p, q, bc, ba).tobytes(), (p, q)
+            terms = optimize._terms(p, q)
+            assert vals.tobytes() == optimize._i_ae(terms, ba, bc).tobytes(), (p, q)
+            assert vals.tobytes() == optimize._i_ae(terms, bc, ba).tobytes(), (p, q)
 
     def test_aligned_arcs_track_the_boundary(self):
         t = attack.overlap_target(0.05, 0.2)
@@ -371,13 +385,13 @@ def _grid_refine_mesh(p, q, grid=201, refine_iters=6):
             break
         fa = aa[feasible]
         fc = cc[feasible]
-        vals = optimize._i_ae(p, q, fa, fc)
+        vals = _i_ae_reference(p, q, fa, fc)
         k = int(np.argmax(vals))
         cand = (float(fa[k]), float(fc[k]), float(vals[k]))
         if best_j is None or cand[2] > best_j:
             best_a, best_c, best_j = cand
         if best_a < 0.5:
-            mirror_j = float(optimize._i_ae(p, q, 1.0 - best_a, 1.0 - best_c))
+            mirror_j = float(_i_ae_reference(p, q, 1.0 - best_a, 1.0 - best_c))
             if mirror_j >= best_j:
                 best_a, best_c, best_j = 1.0 - best_a, 1.0 - best_c, mirror_j
         span_a, span_c = (hi_a - lo_a) / 10.0, (hi_c - lo_c) / 10.0
@@ -387,16 +401,18 @@ def _grid_refine_mesh(p, q, grid=201, refine_iters=6):
 
 
 def _grid_refine_per_arc(p, q, grid=201, refine_iters=6):
-    """`grid_refine_maximize` with one kernel call per round and arc.
+    """`grid_refine_maximize` with one objective call per round and arc.
 
-    Each arc is searched alone, its samples written as the plain angle
-    expressions of `optimize._arc`; the block search must match it bit
-    for bit.
+    Each arc is searched alone on one np.linspace per round, its samples
+    written as the plain angle expressions of `optimize._arc` and valued
+    by the plain-expression `_i_ae_reference`; the block search, with its
+    ramp, its per-(p, q) terms and its stacked weight pairs, must match
+    it bit for bit.
     """
     p, q = check_domain(p, q)
     t = attack.overlap_target(p, q)
     theta = math.acos(min(t, 1.0))
-    best = (float(optimize._i_ae(p, q, 0.0, 0.0)), 0.0, 0.0)
+    best = (float(_i_ae_reference(p, q, 0.0, 0.0)), 0.0, 0.0)
     for cos_sign, end in ((-1, theta), (1, math.pi / 2.0 - theta)):
         lo, hi = 0.0, end
         arc = None
@@ -404,7 +420,7 @@ def _grid_refine_per_arc(p, q, grid=201, refine_iters=6):
             base = np.linspace(lo, hi, grid)
             alpha, chi = (base + theta, base) if cos_sign > 0 else (base, theta - base)
             ba, bc = np.cos(alpha) ** 2, np.cos(chi) ** 2
-            vals = optimize._i_ae(p, q, ba, bc)
+            vals = _i_ae_reference(p, q, ba, bc)
             k = int(vals.argmax())
             if arc is None or vals[k] > arc[0]:
                 arc, mid = (float(vals[k]), float(ba[k]), float(bc[k])), float(base[k])
@@ -435,7 +451,7 @@ def _phase_branch_scan_reference(p, q, cos_sign, samples):
         alpha, chi = base, theta - base
     ba = np.cos(alpha) ** 2
     bc = np.cos(chi) ** 2
-    return ba, bc, optimize._i_ae(p, q, ba, bc)
+    return ba, bc, _i_ae_reference(p, q, ba, bc)
 
 
 def _traced_peak(fn, *args):
@@ -488,8 +504,9 @@ class TestArrayGeometry:
                 assert got <= opt + _ABOVE_CLOSED, (p, q)
 
     # q = p/2 gives the -1 arc a zero-width window and q = 1/2 the +1 arc,
-    # where numpy's linspace takes another formula; each row must keep
-    # the bits it has when sampled alone.
+    # where numpy's linspace takes another formula and the search's ramp
+    # must still give lo exactly; each row must keep the bits it has when
+    # sampled alone.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid,refine_iters", [(51, 0), (77, 3), (201, 6), (2001, 2), (51, 30)])
     def test_block_matches_per_arc_search(self, grid, refine_iters):
@@ -504,8 +521,9 @@ class TestArrayGeometry:
 
     @pytest.mark.parametrize("p,q", [(0.2, 0.3), (0.05, 0.15), (0.9, 0.49999)])
     def test_peak_at_largest_grid(self, p, q):
-        # A round holds a few arrays of 2 x grid floats, so the peak is
-        # linear in grid; it read ~419 kB at grid 2001.
+        # A round holds a few arrays of 2 x grid floats, and _i_ae a few of
+        # 2 x 2 x grid, so the peak is linear in grid; it read ~530 kB at
+        # grid 2001.
         assert _traced_peak(grid_refine_maximize, p, q, optimize._MAX_GRID) < 1_000_000
 
     def test_local_max_runs_match_loop(self):
@@ -641,7 +659,7 @@ class TestChordPruning:
         for p_, q_ in zip(p.tolist(), q.tolist()):
             ba, bc = rng.uniform(size=(2, 10))
             ba[:2], bc[1:3] = (0.0, 1.0), (0.0, 1.0)
-            got = optimize._i_ae(p_, q_, ba, bc)
+            got = optimize._i_ae(optimize._terms(p_, q_), ba, bc)
             for a, c, v in zip(ba.tolist(), bc.tolist(), got.tolist()):
                 err = abs(decimal.Decimal(v) - _objective_decimal(p_, q_, a, c))
                 worst = max(worst, float(err))
