@@ -18,8 +18,7 @@ import numpy as np
 from .attack import (_optimal_parameters, _overlap_target, build_ancillas, build_isometry,
                      eve_distribution_closed_form, simulate)
 from .exceptions import AmbiguousCrossingError, DomainError, NoCrossingError
-from .info import (_beta_sq, _i_ab, _i_ae_aligned, _i_ae_antiphase, _i_ae_optimal, _noise,
-                   _optimum)
+from .info import _i_ab, _i_ae_antiphase, _noise, _optimum
 from .optimize import grid_refine_maximize, lagrange_residual
 from .protocol import _disturbance, _float, check_count, check_domain, check_range
 
@@ -122,14 +121,14 @@ def _curve_rows(p, steps):
     qs = np.linspace(p / 2.0, 0.5, steps)
     i_ab = _i_ab(qs).tolist()
     noise = _noise(p)
-    beta_sq, i_ae = _optimum(noise, qs)
+    _, beta_sq, i_ae = _optimum(noise, qs)
     return zip(
         qs.tolist(),
         i_ab,
         i_ae.tolist(),
         _i_ae_antiphase(noise, qs).tolist(),
         i_ab,
-        _i_ae_optimal(_noise(0.0), qs).tolist(),
+        _optimum(_noise(0.0), qs)[2].tolist(),
         beta_sq.tolist(),
     )
 
@@ -137,7 +136,7 @@ def _curve_rows(p, steps):
 def _advantage(noise, q):
     """Bob's minus Eve's information at the terms of `_noise`; broadcasts, checks nothing."""
     value = _i_ab(q)
-    value -= _i_ae_optimal(noise, q)
+    value -= _optimum(noise, q)[2]
     return value
 
 
@@ -329,14 +328,14 @@ def compare_optimum(p, q, grid=201, refine_iters=6):
     result = grid_refine_maximize(p, q, grid=grid, refine_iters=refine_iters)
     p, q = result.best_params.p, result.best_params.q
     noise = _noise(p)
-    lr = lagrange_residual(_optimal_parameters(noise, q))
-    plus, closed = (float(x) for x in _optimum(noise, q))
+    root, plus, closed = (float(x) for x in _optimum(noise, q))
+    lr = lagrange_residual(_optimal_parameters(noise, q, root))
     values = {
         "i_ae_closed": closed,
         "i_ae_grid": result.best_value,
         "abs_diff": abs(closed - result.best_value),
         "beta_sq_plus": plus,
-        "beta_sq_minus": float(_beta_sq(noise, q, -1.0)),
+        "beta_sq_minus": float(_optimum(noise, q, -1.0)[1]),
         "grid_beta_a_sq": result.best_params.beta_a_sq,
         "i_ae_antiphase": float(_i_ae_antiphase(noise, q)),
         "lagrange_residual": lr.residual_norm,
@@ -362,8 +361,8 @@ def verify_checks(p, q):
       basis, at most 1e-10;
     - "bob symmetry": ``|w1 - w0|`` in every basis, at most 1e-12;
     - "branch dominance": ``i_ae_optimal >= i_ae_antiphase - 1e-12``;
-    - "branch symmetry": the closed form at the plus and minus roots of
-      `sixstate.info.beta_sq_optimal`, within 1e-14;
+    - "branch symmetry": Eve's optimal information at the plus and minus
+      roots of `sixstate.info.beta_sq_optimal`, within 1e-14;
     - "stationarity": Lagrange residual below 1e-6, or a degenerate point;
 
     and ``advantage`` is ``i_ab(q) - i_ae_optimal(p, q)``.
@@ -377,7 +376,8 @@ def verify_checks(p, q):
     """
     p, q = check_domain(p, q)
     noise = _noise(p)
-    params = _optimal_parameters(noise, q)
+    root, _, opt = (float(x) for x in _optimum(noise, q))
+    params = _optimal_parameters(noise, q, root)
     iso = build_isometry(_disturbance(q, p), build_ancillas(params))
     residual = abs(params.overlap - _overlap_target(p, q))
     closed = eve_distribution_closed_form(params)
@@ -385,10 +385,8 @@ def verify_checks(p, q):
     dist_err = float(max(abs(closed - sim)))
     qber_err = max(abs(0.5 * (w0 + w1) - q) for w0, w1 in flips)
     sym_err = max(abs(w1 - w0) for w0, w1 in flips)
-    opt = float(_i_ae_optimal(noise, q))
     alt = float(_i_ae_antiphase(noise, q))
-    swap = abs(float(_i_ae_aligned(noise, q, _beta_sq(noise, q, 1.0)))
-               - float(_i_ae_aligned(noise, q, _beta_sq(noise, q, -1.0))))
+    swap = abs(opt - float(_optimum(noise, q, -1.0)[2]))
     lr = lagrange_residual(params)
     checks = [
         ("constraints", residual <= 1e-10, f"max residual {residual:.3e}"),

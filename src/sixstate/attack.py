@@ -32,7 +32,8 @@ already checked and check only the radius norms, an internal invariant
 (`ConstraintError`): `_parameters` from float radii and phase,
 `_from_squares` from weights in [0, 1] and a cosine in [-1, 1] (the
 grid search's result), and `_optimal_parameters` from the pair's
-`sixstate.info._noise` terms (`sixstate.analysis`).
+`sixstate.info._noise` terms and the root of `sixstate.info._optimum`,
+both of which its caller already holds (`sixstate.analysis`).
 """
 
 import dataclasses
@@ -41,7 +42,7 @@ import math
 import numpy as np
 
 from .exceptions import ConstraintError, DomainError
-from .info import _mix, _noise, _root, _scales
+from .info import _mix, _noise, _optimum, _scales
 from .protocol import _float, check_domain, check_range
 
 __all__ = [
@@ -229,13 +230,17 @@ def optimal_parameters(p, q):
     weight itself rounds to 1.
     """
     p, q = check_domain(p, q)
-    return _optimal_parameters(_noise(p), q)
+    noise = _noise(p)
+    return _optimal_parameters(noise, q, _optimum(noise, q)[0])
 
 
-def _optimal_parameters(noise, q):
-    """`optimal_parameters` at the `sixstate.info._noise` terms of a checked pair."""
+def _optimal_parameters(noise, q, root):
+    """`optimal_parameters` at the `sixstate.info._noise` terms and root of a checked pair.
+
+    root is the square-root term of `sixstate.info._optimum` at the pair.
+    """
     p = noise[0]
-    theta = 0.5 * math.atan2(_overlap_target(p, q), float(_root(noise, q)))
+    theta = 0.5 * math.atan2(_overlap_target(p, q), root)
     big, small = math.cos(theta), math.sin(theta)
     return _parameters(p, q, big, small, small, big, 0.0)
 

@@ -5,28 +5,29 @@ p is the white-noise weight of the source and q is Bob's observed error
 rate; the physical domain is ``0 <= p < 1`` and ``p/2 <= q <= 1/2``.
 
 Eve's outcome weights are written once, in `_scales` and `_mix`, which
-`sixstate.attack` and the grid search of `sixstate.optimize` read too.
-Her information on the aligned-phase branch is `_i_ae_aligned`, the
-paper's closed form, behind `i_ae_optimal`, the sweeps of
-`sixstate.analysis` and its "branch symmetry" check.  The grid search
-maximizes its own objective, `sixstate.optimize._i_ae`, written apart
-from this module's closed forms.  The kernels broadcast over numpy
-arrays and check nothing; each public function validates its scalar
-arguments and then calls them, and `sixstate.analysis` calls them on
-whole grids.
+`sixstate.attack` and the grid search of `sixstate.optimize` read;
+this module reads neither.  The paper's closed form has one kernel,
+`_optimum`: the square-root term, the stationary weight at either root
+and Eve's information there, behind `beta_sq_optimal`, `i_ae_optimal`,
+the sweeps of `sixstate.analysis` and its "branch symmetry" check.  The
+grid search maximizes its own objective, `sixstate.optimize._i_ae`,
+written apart from this module's closed forms.  The kernels broadcast
+over numpy arrays and check nothing; each public function validates its
+scalar arguments and then calls them, and `sixstate.analysis` calls
+them on whole grids.
 
-The closed forms (`_root`, `_beta_sq`, `_i_ae_aligned`, `_optimum`,
-`_i_ae_optimal` and `_i_ae_antiphase`) take the noise weight as the terms of `_noise`:
-p/2, 1 - p/2, 1 - p and the entropy term ``h(p/2) = (p/2) log2 (p/2) +
-(1 - p/2) log2 (1 - p/2)``, formed once per noise weight.  A caller
-that evaluates one p at many q forms them once: the crossing search of
-`sixstate.analysis` once per chunk of rows, not in every bisection
-round.  Within one call q - p/2 and 1 - p/2 - q are formed once, for
-the root and the closed form both.
+The closed forms (`_optimum` and `_i_ae_antiphase`) take the noise
+weight as the terms of `_noise`: p/2, 1 - p/2, 1 - p and the entropy
+term ``h(p/2) = (p/2) log2 (p/2) + (1 - p/2) log2 (1 - p/2)``, formed
+once per noise weight.  A caller that evaluates one p at many q forms
+them once: the crossing search of `sixstate.analysis` once per chunk of
+rows, not in every bisection round.  Within one call of `_optimum`,
+q - p/2 and 1 - p/2 - q are formed once, for the root and the closed
+form both.
 
 Each kernel is one code path for floats and arrays: it forms a fresh
 result and applies later steps by augmented assignment, in place on an
-array and rebinding a scalar, and never writes into p, q or the weights.
+array and rebinding a scalar.  No kernel writes into its arguments.
 
 The closed forms in this module have two independent cross-checks
 elsewhere in the package: `mutual_information` applied to the joint
@@ -161,32 +162,41 @@ def _noise(p):
     return p, half, rest, 1.0 - p, a + b, 1.0 + a + b
 
 
-def _spans(noise, q):
-    """``(q - p/2, 1 - p/2 - q)``, fresh where q is an array; broadcasts."""
-    return q - noise[1], noise[2] - q
+def _optimum(noise, q, sign=1.0):
+    """The paper's optimum at the terms of `_noise`; broadcasts, checks nothing.
 
-
-def _root(noise, q, spans=None):
-    """The square-root term of `beta_sq_optimal`, capped at 1; broadcasts.
-
-    noise holds the terms of `_noise`; spans, if given, the `_spans` of
-    q, which this only reads.
+    Returns ``(root, beta_sq, value)``: the square-root term of
+    `beta_sq_optimal`, capped at 1; its root ``(1 + sign * root) / 2``
+    for sign +-1; and there the paper's closed form ``1 + pref h(x) + d
+    h(p/2)``, or 0 where q <= p/2.  Here ``x = (1 - p) beta_sq + p/2``,
+    ``h(x) = x log2 x + (1 - x) log2 (1 - x)``, ``pref = (1 - p/2 - q) /
+    (1 - p)`` and ``d = (q - p/2) / (1 - p)``.  This is the grid's
+    objective `sixstate.optimize._i_ae` at ``(beta_sq, 1 - beta_sq)``,
+    evaluated apart from it.  The two roots sum to 1, which turns x into
+    ``1 - x`` and leaves h(x) and so the value unchanged.  q holds the
+    shape into which the noise terms broadcast.
     """
-    dq, left = _spans(noise, q) if spans is None else spans
-    r = 2.0 - 3.0 * q
-    r -= noise[1]
-    r *= dq
-    r = np.sqrt(r)
-    r /= left
-    return np.minimum(r, 1.0)
-
-
-def _beta_sq(noise, q, sign, spans=None):
-    """Root ``(1 + sign * root) / 2`` of `beta_sq_optimal` for sign +-1; broadcasts."""
-    root = _root(noise, q, spans)
+    _, half, rest, kept, h, _ = noise
+    dq, left = q - half, rest - q
+    root = 2.0 - 3.0 * q
+    root -= half
+    root *= dq
+    root = np.sqrt(root)
+    root /= left
+    root = np.minimum(root, 1.0)
     beta = 1.0 + root if sign > 0 else 1.0 - root
     beta /= 2.0
-    return beta
+    x = kept * beta
+    x += half
+    s = _xlog2(x)
+    s += _xlog2(1.0 - x)
+    left /= kept
+    s *= left
+    s += 1.0
+    dq /= kept
+    dq *= h
+    s += dq
+    return root, beta, np.where(q <= half, 0.0, s)
 
 
 def beta_sq_optimal(p, q, branch="plus"):
@@ -202,64 +212,18 @@ def beta_sq_optimal(p, q, branch="plus"):
     p, q = check_domain(p, q)
     if branch not in ("plus", "minus"):
         raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    return float(_beta_sq(_noise(p), q, 1.0 if branch == "plus" else -1.0))
-
-
-def _i_ae_aligned(noise, q, beta_sq, spans=None):
-    """Eve's information on the aligned-phase branch; broadcasts, checks nothing.
-
-    The paper's closed form ``1 + pref h(x) + d h(p/2)`` with
-    ``x = (1 - p) beta_sq + p/2``, ``h(x) = x log2 x + (1 - x) log2 (1 - x)``,
-    ``pref = (1 - p/2 - q) / (1 - p)`` and ``d = (q - p/2) / (1 - p)``,
-    at the terms of `_noise`.  This is the grid's objective
-    `sixstate.optimize._i_ae` at ``(beta_sq, 1 - beta_sq)``, evaluated
-    apart from it.
-    Swapping ``beta_sq`` for ``1 - beta_sq`` turns x into ``1 - x``, which
-    leaves h(x) and so the value unchanged.  q and beta_sq share one
-    shape, into which the noise terms broadcast.  spans, if given, are
-    the `_spans` of q, which this writes into.
-    """
-    _, half, _, kept, h, _ = noise
-    dq, left = _spans(noise, q) if spans is None else spans
-    x = kept * beta_sq
-    x += half
-    s = _xlog2(x)
-    s += _xlog2(1.0 - x)
-    left /= kept
-    s *= left
-    s += 1.0
-    dq /= kept
-    dq *= h
-    s += dq
-    return s
-
-
-def _optimum(noise, q):
-    """The plus root of `_beta_sq`, and `_i_ae_aligned` there or 0 where q <= p/2.
-
-    The root and the closed form share one `_spans` of q; q holds the
-    shape into which the noise terms broadcast.  Returns ``(beta_sq,
-    value)``.
-    """
-    spans = _spans(noise, q)
-    beta = _beta_sq(noise, q, 1.0, spans)
-    return beta, np.where(q <= noise[1], 0.0, _i_ae_aligned(noise, q, beta, spans))
-
-
-def _i_ae_optimal(noise, q):
-    """The value of `_optimum`: Eve's optimal information at the terms of `_noise`."""
-    return _optimum(noise, q)[1]
+    return float(_optimum(_noise(p), q, 1.0 if branch == "plus" else -1.0)[1])
 
 
 def i_ae_optimal(p, q):
     """Eve's maximal information at noise p and error rate q.
 
-    Evaluates the paper's closed form (`_i_ae_aligned`) at the plus root
-    of `beta_sq_optimal`.  Returns exactly 0 at q = p/2, where the probe
+    Evaluates the paper's closed form (`_optimum`) at the plus root of
+    `beta_sq_optimal`.  Returns exactly 0 at q = p/2, where the probe
     cannot interact without raising the error rate.
     """
     p, q = check_domain(p, q)
-    return float(_i_ae_optimal(_noise(p), q))
+    return float(_optimum(_noise(p), q)[2])
 
 
 def _i_ae_antiphase(noise, q):

@@ -99,10 +99,8 @@ def test_acceptance_5_branch_dominance_and_symmetry():
         for q in np.linspace(p / 2, 0.5, 21):
             opt = info.i_ae_optimal(p, q)
             worst_dom = max(worst_dom, info.i_ae_antiphase(p, q) - opt)
-            swap = abs(
-                float(info._i_ae_aligned(noise, q, info.beta_sq_optimal(p, q, "plus")))
-                - float(info._i_ae_aligned(noise, q, info.beta_sq_optimal(p, q, "minus")))
-            )
+            swap = abs(float(info._optimum(noise, q)[2])
+                       - float(info._optimum(noise, q, -1.0)[2]))
             worst_sym = max(worst_sym, swap)
     elapsed = time.perf_counter() - start
     ok = worst_dom <= 0.0 and worst_sym <= 1e-14

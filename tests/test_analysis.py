@@ -417,12 +417,15 @@ def _set_check_value(m, name, v):
             return eve, [[w0 + s0, w1 + s1] for w0, w1 in flips]
         m.setattr(analysis, "simulate", shifted)
     elif name == "branch dominance":
-        m.setattr(analysis, "_i_ae_antiphase",
-                  lambda noise, q: info._i_ae_optimal(noise, q) + v)
+        real_optimum = analysis._optimum
+        m.setattr(analysis, "_i_ae_antiphase", lambda noise, q: real_optimum(noise, q)[2] + v)
     elif name == "branch symmetry":
-        real_aligned = analysis._i_ae_aligned
-        m.setattr(analysis, "_i_ae_aligned",
-                  lambda noise, q, b: real_aligned(noise, q, b) + (v if b < 0.5 else 0.0))
+        real_optimum = analysis._optimum
+
+        def shifted(noise, q, sign=1.0):
+            root, beta, value = real_optimum(noise, q, sign)
+            return root, beta, value + (v if sign < 0 else 0.0)
+        m.setattr(analysis, "_optimum", shifted)
     else:
         m.setattr(analysis, "lagrange_residual", lambda params: optimize.LagrangeResidual(v))
 

@@ -148,6 +148,15 @@ class TestCrossing:
         assert "forced for the test" in capsys.readouterr().err
 
 
+def _wrap_everywhere(monkeypatch, source, name, wrap):
+    """Replace every sixstate module binding of `source.name` by `wrap(real)`."""
+    real = getattr(source, name)
+    wrapper = wrap(real)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("sixstate") and vars(module).get(name) is real:
+            monkeypatch.setattr(module, name, wrapper)
+
+
 def _count_validator_calls(monkeypatch, argv):
     """The calls to each `protocol` validator and to `info._noise` during one
     successful `main(argv)`, counted through every sixstate module binding of it."""
@@ -155,16 +164,43 @@ def _count_validator_calls(monkeypatch, argv):
                "_noise": info}
     calls = dict.fromkeys(sources, 0)
     for name, source in sources.items():
-        real = getattr(source, name)
-
-        def wrapper(*args, name=name, real=real):
-            calls[name] += 1
-            return real(*args)
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("sixstate") and vars(module).get(name) is real:
-                monkeypatch.setattr(module, name, wrapper)
+        def wrap(real, name=name):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+        _wrap_everywhere(monkeypatch, source, name, wrap)
     assert cli.main(argv) == 0
     return calls
+
+
+@pytest.mark.parametrize("argv", [["optimize", "--p", "0.05", "--q", "0.15"],
+                                  ["verify", "--p", "0.05", "--q", "0.15"]],
+                         ids=["optimize", "verify"])
+def test_one_optimum_per_root(monkeypatch, argv):
+    # One command evaluates the paper's optimum once at each root, counted
+    # through every sixstate module binding of `info._optimum`, and the
+    # optimal attack is built from the root the plus call returned.
+    optima, roots = [], []
+
+    def wrap_optimum(real):
+        def optimum(noise, q, sign=1.0):
+            out = real(noise, q, sign)
+            optima.append((sign, out[0]))
+            return out
+        return optimum
+
+    def wrap_parameters(real):
+        def optimal_parameters(noise, q, root):
+            roots.append(root)
+            return real(noise, q, root)
+        return optimal_parameters
+    _wrap_everywhere(monkeypatch, info, "_optimum", wrap_optimum)
+    _wrap_everywhere(monkeypatch, attack, "_optimal_parameters", wrap_parameters)
+    assert cli.main(argv) == 0
+    assert sorted(sign for sign, _ in optima) == [-1.0, 1.0]
+    plus_root = next(root for sign, root in optima if sign > 0)
+    assert len(roots) == 1 and float(roots[0]) == float(plus_root)
 
 
 class TestOptimize:

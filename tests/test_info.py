@@ -4,7 +4,6 @@ import pytest
 from sixstate import analysis, attack, info
 from sixstate.exceptions import DomainError
 from sixstate.info import (
-    _i_ae_aligned,
     _xlog2,
     beta_sq_optimal,
     i_ab,
@@ -61,13 +60,17 @@ def _i_ae_aligned_reference(p, q, beta_sq):
             + d * (_xlog2_reference(half) + _xlog2_reference(1.0 - half)))
 
 
-def _beta_sq_reference(p, q, sign):
+def _root_reference(p, q):
     root = np.sqrt((q - p / 2.0) * (2.0 - 3.0 * q - p / 2.0)) / (1.0 - p / 2.0 - q)
-    return (1.0 + sign * np.minimum(root, 1.0)) / 2.0
+    return np.minimum(root, 1.0)
 
 
-def _i_ae_optimal_reference(p, q):
-    value = _i_ae_aligned_reference(p, q, _beta_sq_reference(p, q, 1.0))
+def _beta_sq_reference(p, q, sign):
+    return (1.0 + sign * _root_reference(p, q)) / 2.0
+
+
+def _i_ae_optimal_reference(p, q, sign=1.0):
+    value = _i_ae_aligned_reference(p, q, _beta_sq_reference(p, q, sign))
     return np.where(q <= p / 2.0, 0.0, value)
 
 
@@ -92,11 +95,16 @@ def _at_p(kernel):
     return lambda p, *args: kernel(info._noise(p), *args)
 
 
+def _optimum_at_p(index, sign=1.0):
+    """Output `index` of info._optimum at the root of `sign`, at p."""
+    return lambda p, q: info._optimum(info._noise(p), q, sign)[index]
+
+
 def _crossing_shape():
     """p down the rows against a (rows, 63) q, as the crossing search calls it."""
     p = np.linspace(0.0, 0.5, 7)[:, None]
     q = p / 2.0 + np.linspace(0.0, 1.0, 63) * (0.5 - p / 2.0)
-    ba = info._beta_sq(info._noise(p), q, 1.0)
+    ba = info._optimum(info._noise(p), q)[1]
     return p, q, ba, 1.0 - ba
 
 
@@ -111,7 +119,7 @@ def _lone_row():
     """A Python float p against a (1, 63) q, as the crossing search calls one live row."""
     p = 0.3
     q = p / 2.0 + np.linspace(0.0, 1.0, 63)[None, :] * (0.5 - p / 2.0)
-    return p, q, info._beta_sq(info._noise(p), q, 1.0)
+    return p, q
 
 
 def _lattice():
@@ -153,15 +161,6 @@ _I_AES = {
     "0d_arrays": tuple(np.array(v) for v in (0.1, 0.05, 0.5, 0.5)),
     "crossing_shape": _crossing_shape(),
 }
-_I_AE_ALIGNEDS = {
-    "python_floats": (0.05, 0.12, 0.8),
-    "python_edges": (0.0, 0.5, 1.0),
-    "float64": tuple(np.float64(v) for v in (0.1, 0.3, 0.6)),
-    "0d_arrays": tuple(np.array(v) for v in (0.1, 0.05, 0.5)),
-    "curve_shape": (0.3, np.linspace(0.15, 0.5, 9), np.linspace(0.5, 1.0, 9)),
-    "crossing_shape": _crossing_shape()[:3],
-    "lone_row": _lone_row(),
-}
 # p and q alone, as the crossing search and the curves call them
 _P_QS = {
     "python_floats": (0.05, 0.12),
@@ -171,7 +170,7 @@ _P_QS = {
     "zero_noise_curve": (0.0, np.linspace(0.0, 0.5, 9)),
     "crossing_shape": _crossing_shape()[:2],
     "crossing_view": _crossing_view(),
-    "lone_row": _lone_row()[:2],
+    "lone_row": _lone_row(),
 }
 
 
@@ -181,12 +180,13 @@ _KERNELS = [
         ("xlog2", _xlog2, _xlog2_reference, _XS),
         ("tau", _tau, _tau_reference, _TAUS),
         ("i_ae", lambda p, q, *args: _i_ae(_terms(p, q), *args), _i_ae_reference, _I_AES),
-        ("i_ae_aligned", _at_p(info._i_ae_aligned), _i_ae_aligned_reference, _I_AE_ALIGNEDS),
-        ("beta_sq_plus", lambda p, q: _at_p(info._beta_sq)(p, q, 1.0),
-         lambda p, q: _beta_sq_reference(p, q, 1.0), _P_QS),
-        ("beta_sq_minus", lambda p, q: _at_p(info._beta_sq)(p, q, -1.0),
-         lambda p, q: _beta_sq_reference(p, q, -1.0), _P_QS),
-        ("i_ae_optimal", _at_p(info._i_ae_optimal), _i_ae_optimal_reference, _P_QS),
+        ("root", _optimum_at_p(0), _root_reference, _P_QS),
+        ("beta_sq_plus", _optimum_at_p(1), lambda p, q: _beta_sq_reference(p, q, 1.0), _P_QS),
+        ("beta_sq_minus", _optimum_at_p(1, -1.0), lambda p, q: _beta_sq_reference(p, q, -1.0),
+         _P_QS),
+        ("i_ae_optimal", _optimum_at_p(2), _i_ae_optimal_reference, _P_QS),
+        ("i_ae_minus", _optimum_at_p(2, -1.0), lambda p, q: _i_ae_optimal_reference(p, q, -1.0),
+         _P_QS),
         ("i_ae_antiphase", _at_p(info._i_ae_antiphase), _i_ae_antiphase_reference, _P_QS),
         ("advantage", _at_p(analysis._advantage), _advantage_reference, _P_QS),
         ("i_ab", info._i_ab, _i_ab_reference,
@@ -373,8 +373,7 @@ class TestIAEOptimal:
     def test_branch_swap_invariance(self, p, q):
         # the kernel behind verify's "branch symmetry" check
         noise = info._noise(p)
-        plus = float(_i_ae_aligned(noise, q, beta_sq_optimal(p, q, "plus")))
-        minus = float(_i_ae_aligned(noise, q, beta_sq_optimal(p, q, "minus")))
+        plus, minus = (float(info._optimum(noise, q, sign)[2]) for sign in (1.0, -1.0))
         assert abs(plus - minus) <= 1e-14
 
     @pytest.mark.parametrize("p,q", GRID)
@@ -390,7 +389,7 @@ class TestIAEOptimal:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_closed_form_matches_general_kernel_on_domain_lattice():
-    # The paper's closed form (_i_ae_aligned) and the grid's objective
+    # The paper's closed form (info._optimum) and the grid's objective
     # (optimize._i_ae) are evaluated apart; on 96 p by 2,001 q they agree to
     # round-off at both roots, and the two roots give the same value.
     p = np.linspace(0.0, 0.95, 96)[:, None]
@@ -398,8 +397,7 @@ def test_closed_form_matches_general_kernel_on_domain_lattice():
     values = []
     noise = info._noise(p)
     for sign in (1.0, -1.0):
-        b = info._beta_sq(noise, q, sign)
-        closed = info._i_ae_aligned(noise, q, b)
+        _, b, closed = info._optimum(noise, q, sign)
         assert closed.shape == q.shape
         assert np.abs(closed - _i_ae(_terms(p, q), b, 1.0 - b)).max() <= 2e-15
         values.append(closed)

@@ -539,8 +539,8 @@ class TestArrayGeometry:
 # The paper's closed forms and what is built on them: the independent
 # checks must reach none of these.
 _CLOSED_FORMS = {
-    info: ("_noise", "_root", "_beta_sq", "_i_ae_aligned", "_optimum", "_i_ae_optimal",
-           "_i_ae_antiphase", "beta_sq_optimal", "i_ae_optimal", "i_ae_antiphase"),
+    info: ("_noise", "_optimum", "_i_ae_antiphase", "beta_sq_optimal", "i_ae_optimal",
+           "i_ae_antiphase"),
     attack: ("eve_distribution_closed_form", "_optimal_parameters"),
 }
 
