@@ -146,9 +146,10 @@ def crossing_point(p, tol=1e-9):
     Locates the root of ``i_ab(q) - i_ae_optimal(p, q)`` by bisection
     on [p/2 + 1e-9, 1/2 - 1e-9].  The first bisection round certifies
     that the difference changes sign exactly once on 33 evenly spaced
-    points, both ends included; each later round checks its own points
-    again.  This is the one-row case of the lock-step search
-    `crossing_sweep` runs, so both give the same result at the same p.
+    points, both ends included; each later round evaluates 33 points
+    again and checks the 31 inside its bracket.  This is the one-row
+    case of the lock-step search `crossing_sweep` runs, so both give the
+    same result at the same p.
 
     Parameters
     ----------
@@ -171,7 +172,7 @@ def crossing_point(p, tol=1e-9):
     AmbiguousCrossingError
         If a bisection round sees more than one sign change.
     """
-    return _crossings([check_range(p, 0.0, 0.5, "noise parameter p")], tol)[0]
+    return CrossingResult(*_crossings([check_range(p, 0.0, 0.5, "noise parameter p")], tol)[0])
 
 
 def crossing_sweep(p_min, p_max, steps=21, tol=1e-9):
@@ -184,6 +185,15 @@ def crossing_sweep(p_min, p_max, steps=21, tol=1e-9):
     rows the first round refuses, the first in sweep order raises its
     error; a sign change that only a later round sees raises when that
     round runs.
+    """
+    return [CrossingResult(*row) for row in _crossing_rows(p_min, p_max, steps, tol)]
+
+
+def _crossing_rows(p_min, p_max, steps, tol):
+    """The rows of `crossing_sweep`, as a list of tuples in field order.
+
+    The CLI writes these tuples straight to CSV, without a
+    CrossingResult per row.
     """
     steps = check_count(steps, 1, _MAX_CROSSING_STEPS, "steps")
     p_min = check_range(p_min, 0.0, 0.5, "noise parameter p_min")
@@ -246,33 +256,37 @@ def _live_noise(ps, live):
 def _crossings(ps, tol):
     """Bisect the crossing at every noise weight in ps, in lock step.
 
-    Each row runs the scalar bisection ``mid = 0.5 * (lo + hi)`` while
-    `_splits`.  One kernel call per round evaluates, for each of up to
-    _ROWS live rows, every midpoint its next _LEVELS steps could visit,
-    built from adjacent bracket ends by that same expression; each row
-    then walks its own path through them.  So every bracket, count and
+    Returns one ``(p, q_cross, q_line, margin, iterations)`` tuple per p,
+    the fields of `CrossingResult` in order.  Each row runs the scalar
+    bisection ``mid = 0.5 * (lo + hi)`` while `_splits`.  One kernel call
+    per round evaluates, for each of up to _ROWS live rows, its bracket
+    ends and every midpoint its next _LEVELS steps could visit, built
+    from adjacent bracket ends by that same expression: one contiguous
+    row of 33 points.  Each row then walks its own path through their
+    signs, forming each midpoint again by that expression, and the same
+    pass decides whether it stays live.  So every bracket, count and
     result equals one-at-a-time bisection bit for bit, and a row whose
-    next step would stop costs no call after round one.  The kernel takes
-    the live rows' noise terms (`sixstate.info._noise`), formed once per
-    chunk and again only when rows retire, for the rows still live; so
-    each round runs only the passes that depend on q.  A lone live row's
-    p (a one-point sweep, `crossing_point`, or the one row of a chunk
-    still bisecting) is a Python float; more rows take a column.
+    next step would stop costs no call after round one.  The kernel
+    takes the live rows' noise terms (`sixstate.info._noise`), formed
+    once per chunk and again only when rows retire, for the rows still
+    live; so each round runs only the passes that depend on q.  A lone
+    live row's p (a one-point sweep, `crossing_point`, or the one row of
+    a chunk still bisecting) is a Python float; more rows take a column.
 
-    Round one takes every row, and its call also evaluates both bracket
-    ends: the 33 signs certify one crossing, and each later round checks
-    that its 31 midpoints still see only one (`_certify`).  That a 1/32
-    grid suffices is physics: on (0, 1/2) Bob's information falls,
+    In round one the 33 signs certify one crossing.  Each later round
+    checks that the 31 midpoints inside its bracket still see only one
+    (`_certify`); the ends it evaluates again are not checked, as round
+    one or a walk has already placed them.  That a 1/32 grid suffices is
+    physics: on (0, 1/2) Bob's information falls,
     ``I_AB'(q) = log2(q / (1-q)) < 0``, and Eve's optimum does not
     decrease in q, so the advantage falls strictly and crosses zero once
     (tests/test_domain.py checks this on 501 p by 20,001 q).  A row thus
-    costs 33 + 31 (rounds - 1) kernel points.
+    costs 33 kernel points a round.
     """
     tol = _float(tol, "tol")
     if not tol > 0.0:
         raise DomainError(f"tol={tol} must be positive")
-    los = [p / 2.0 + _EDGE for p in ps]
-    his = [0.5 - _EDGE] * len(ps)
+    brackets = [(p / 2.0 + _EDGE, 0.5 - _EDGE) for p in ps]
     iterations = [0] * len(ps)
     width = 2 ** _LEVELS
     for start in range(0, len(ps), _ROWS):
@@ -283,36 +297,39 @@ def _crossings(ps, tol):
             # Each row's bracket ends and midpoints in order; level k fills
             # the columns halfway between those filled before it.
             edges = np.empty((len(live), width + 1))
-            edges[:, 0] = [los[i] for i in live]
-            edges[:, -1] = [his[i] for i in live]
+            edges[:, ::width] = [brackets[i] for i in live]
             for k in range(_LEVELS):
                 s = width >> (k + 1)
                 edges[:, s::2 * s] = 0.5 * (edges[:, : -s : 2 * s] + edges[:, 2 * s :: 2 * s])
-            values = _advantage(noise, edges if first else edges[:, 1:-1])
-            _certify(ps, live, edges, values, first)
-            mids = values[:, 1:-1] if first else values
-            for i, row, row_mids in zip(live, edges.tolist(), mids.tolist()):
-                a, b = 0, width
-                while b - a > 1 and _splits(row[a], row[(a + b) // 2], row[b], tol):
+            values = _advantage(noise, edges)
+            _certify(ps, live, edges, values if first else values[:, 1:-1], first)
+            still = []
+            for i, row in zip(live, values.tolist()):
+                # mid is column m of the tree bit for bit: the tree built
+                # it from columns a and b, lo and hi, by the same expression
+                (lo, hi), a, b = brackets[i], 0, width
+                mid = 0.5 * (lo + hi)
+                while _splits(lo, mid, hi, tol):
+                    if b - a == 1:
+                        still.append(i)
+                        break
                     m = (a + b) // 2
-                    if row_mids[m - 1] > 0.0:
-                        a = m
+                    if row[m] > 0.0:
+                        lo, a = mid, m
                     else:
-                        b = m
+                        hi, b = mid, m
+                    mid = 0.5 * (lo + hi)
                     iterations[i] += 1
-                los[i], his[i] = row[a], row[b]
-            still = [i for i in live if _splits(los[i], 0.5 * (los[i] + his[i]), his[i], tol)]
+                brackets[i] = lo, hi
             if still and len(still) < len(live):
                 noise = _live_noise(ps, still)
             live, first = still, False
-    results = []
-    for p, lo, hi, n in zip(ps, los, his, iterations):
+    rows = []
+    for p, (lo, hi), n in zip(ps, brackets, iterations):
         q_cross = 0.5 * (lo + hi)
         q_line = PURE_CROSSING_D * (1.0 - p) + p / 2.0
-        results.append(CrossingResult(
-            p=p, q_cross=q_cross, q_line=q_line, margin=q_cross - q_line, iterations=n,
-        ))
-    return results
+        rows.append((p, q_cross, q_line, q_cross - q_line, n))
+    return rows
 
 
 def compare_optimum(p, q, grid=201, refine_iters=6):

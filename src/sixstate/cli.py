@@ -5,12 +5,14 @@ two standard plots, ``optimize`` cross-checks the closed-form optimum
 against the brute-force grid search, and ``verify`` prints the bundle of
 consistency checks at one parameter point, one PASS/FAIL line per check.
 ``optimize`` and ``verify`` only format what one `sixstate.analysis`
-call returns.  `COMMANDS` declares each subcommand once: its help, its
-handler and its options.  A subcommand call is parsed by that
-subcommand's own parser, because building the parsers of all four would
-cost more than a ``verify`` does.  The full tree is built only for
-top-level help, usage and errors, so those read the same as they would
-from one parser holding every subcommand.
+call returns.  The curves and crossing CSVs are written from the row
+tuples `sixstate.analysis` computes, with no record object per row.
+`COMMANDS` declares each subcommand once: its help, its handler and its
+options.  A subcommand call is parsed by that subcommand's own parser,
+because building the parsers of all four would cost more than a
+``verify`` does.  The full tree is built only for top-level help, usage
+and errors, so those read the same as they would from one parser
+holding every subcommand.
 
 Data goes to stdout or the ``--out`` file; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments or
@@ -66,9 +68,9 @@ def cmd_curves(args):
 
 
 def cmd_crossing(args):
-    results = analysis.crossing_sweep(args.p_min, args.p_max, args.steps, args.tol)
-    fields = operator.attrgetter(*CROSSING_HEADER.split(","))
-    _write_lines(args.out, _csv(CROSSING_HEADER, map(fields, results)))
+    rows = analysis._crossing_rows(args.p_min, args.p_max, args.steps, args.tol)
+    # p, q_cross, q_line and margin lead each row, in header order
+    _write_lines(args.out, _csv(CROSSING_HEADER, (row[:4] for row in rows)))
     return 0
 
 

@@ -170,6 +170,25 @@ class TestCrossingSweep:
         assert rows[0] == crossing_point(-1e-13)
 
 
+def _seeded_windows(n):
+    """n (p_min, p_max, steps) sweeps over [0, 0.5], of 1 to 21 points."""
+    windows = []
+    for k, (a, b) in enumerate(np.random.default_rng(4040).uniform(0.0, 0.5, (n, 2)).tolist()):
+        steps = 1 + k % 21
+        windows.append((a, a, 1) if steps == 1 else (min(a, b), max(a, b), steps))
+    return windows
+
+
+@pytest.mark.parametrize("p_min, p_max, steps", [(0.0, 0.5, 201)] + _seeded_windows(50))
+def test_crossing_rows_within_physical_bounds(p_min, p_max, steps):
+    # the threshold lies strictly inside (p/2, 1/2), and the baseline and
+    # margin are the documented expressions, bit for bit
+    for r in crossing_sweep(p_min, p_max, steps):
+        assert r.p / 2.0 < r.q_cross < 0.5
+        assert r.q_line == 0.15637 * (1.0 - r.p) + r.p / 2.0
+        assert r.margin == r.q_cross - r.q_line
+
+
 def _crossing_loop(p, tol):
     """Reference: one scalar bisection per p, as crossing_point ran it."""
     lo = p / 2.0 + 1e-9
@@ -295,14 +314,14 @@ class TestLockStep:
         # a bracket already narrower than tol costs round one alone
         assert crossing_point(0.1, tol=1.0).iterations == 0
         assert (len(calls), sum(points)) == (1, 33)
-        # one call per five levels for all rows; round one also takes both
-        # bracket ends, so a row costs 33 + 31 (rounds - 1) points
+        # one call per five levels for all rows; every round takes both
+        # bracket ends, so a row costs 33 points a round
         calls.clear()
         points.clear()
         rows = crossing_sweep(0.0, 0.2, 21)
         rounds = [max(1, math.ceil(r.iterations / 5)) for r in rows]
         assert len(calls) == math.ceil(max(r.iterations for r in rows) / 5)
-        assert sum(points) == sum(33 + 31 * (n - 1) for n in rounds)
+        assert sum(points) == sum(33 * n for n in rounds)
 
     def test_noise_terms_formed_once_per_live_set(self, monkeypatch):
         forms = []

@@ -82,11 +82,12 @@ def test_csv_row_template_matches_fmt(cast):
 
 def test_headers_name_record_fields():
     # _csv writes rows by position, so the curves header must list the
-    # CurvePoint fields in order; the crossing columns are picked by name.
+    # CurvePoint fields in order, and the crossing header the leading
+    # CrossingResult fields in order.
     curve_fields = [f.name for f in dataclasses.fields(analysis.CurvePoint)]
     assert cli.CURVES_HEADER.split(",") == curve_fields
-    crossing_fields = {f.name for f in dataclasses.fields(analysis.CrossingResult)}
-    assert set(cli.CROSSING_HEADER.split(",")) <= crossing_fields
+    crossing_fields = [f.name for f in dataclasses.fields(analysis.CrossingResult)]
+    assert cli.CROSSING_HEADER.split(",") == crossing_fields[:4]
 
 
 _SEEDED_P = np.random.default_rng(1414).uniform(0.0, 0.999, 20).tolist()
@@ -143,9 +144,28 @@ class TestCrossing:
         def boom(*args, **kwargs):
             raise NoCrossingError("forced for the test")
 
-        monkeypatch.setattr(analysis, "crossing_sweep", boom)
+        # the search itself, which the CLI's rows and crossing_sweep both reach
+        monkeypatch.setattr(analysis, "_crossings", boom)
         assert cli.main(["crossing"]) == 3
         assert "forced for the test" in capsys.readouterr().err
+
+    def test_writes_rows_without_records(self, monkeypatch, capsys):
+        # the CSV is written from the search's row tuples, not from records
+        def refuse(*args, **kwargs):
+            raise AssertionError("CrossingResult built for the CSV")
+
+        monkeypatch.setattr(analysis, "CrossingResult", refuse)
+        assert cli.main(["crossing"]) == 0
+        golden = pathlib.Path(__file__).with_name("golden") / "crossing_default.txt"
+        assert capsys.readouterr().out == golden.read_text()
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-20])
+    def test_sweep_fields_equal_rows(self, tol):
+        # one full chunk of 64 rows, then the 65th alone on the scalar-p path
+        rows = analysis._crossing_rows(0.0, 0.5, 65, tol)
+        sweep = analysis.crossing_sweep(0.0, 0.5, 65, tol)
+        assert [dataclasses.astuple(r) for r in sweep] == rows
+        assert [type(r[-1]) for r in rows] == [int] * 65
 
 
 def _wrap_everywhere(monkeypatch, source, name, wrap):
@@ -378,9 +398,9 @@ class TestVerify:
 
 def test_cli_uses_no_private_name_of_another_module():
     # cli formats what the library returns; a name it imports, or reads off
-    # a sixstate module, is public, except the curves rows that the CSV
-    # writer takes straight from the kernels.
-    allowed = {("analysis", "_curve_rows")}
+    # a sixstate module, is public, except the curves rows and the crossing
+    # rows that the CSV writer takes straight from analysis as tuples.
+    allowed = {("analysis", "_curve_rows"), ("analysis", "_crossing_rows")}
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
     modules = set()
     for node in ast.walk(tree):
